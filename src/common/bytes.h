@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -56,6 +57,10 @@ enum class WireFormat : uint8_t {
 class ByteWriter {
  public:
   ByteWriter() = default;
+
+  // Adopts `buf` and appends after its current contents (encoders that
+  // frame in place into a caller's buffer move it in and Take() it back).
+  explicit ByteWriter(std::string buf) : buf_(std::move(buf)) {}
 
   // Pre-sizes the buffer (hot encode paths reserve the exact message size
   // up front so appending never reallocates).
@@ -108,6 +113,11 @@ class ByteWriter {
     buf_.append(s.data(), s.size());
   }
 
+  // Overwrite fixed-width fields written earlier at byte offset `pos`
+  // (length/checksum headers that precede the payload they describe).
+  void PatchU32(size_t pos, uint32_t v) { PatchFixed(pos, &v, sizeof(v)); }
+  void PatchU64(size_t pos, uint64_t v) { PatchFixed(pos, &v, sizeof(v)); }
+
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
@@ -116,6 +126,10 @@ class ByteWriter {
   void PutFixed(const void* p, size_t n) {
     const char* c = static_cast<const char*>(p);
     buf_.append(c, n);  // Little-endian hosts only (x86-64 / aarch64).
+  }
+
+  void PatchFixed(size_t pos, const void* p, size_t n) {
+    buf_.replace(pos, n, static_cast<const char*>(p), n);
   }
 
   std::string buf_;

@@ -149,7 +149,11 @@ Status ChainReactionNode::CheckpointAndTruncate() {
   // Rotate first: everything in segments below the new active one is
   // already applied, so the checkpoint taken now covers them. No messages
   // are processed between these steps (single-threaded actor).
-  const uint64_t floor_seq = wal_->Rotate();
+  const Result<uint64_t> rotated = wal_->Rotate();
+  if (!rotated.ok()) {
+    return rotated.status();
+  }
+  const uint64_t floor_seq = *rotated;
   const Status saved = SaveCheckpoint(store_, CheckpointPath(data_dir_), floor_seq);
   if (!saved.ok()) {
     return saved;
@@ -174,7 +178,7 @@ bool ChainReactionNode::DurableApply(const Key& key, std::string_view value,
   // Write-ahead: the record hits the log before the store. Versions already
   // present (retries, repair re-propagation) are already logged.
   if (wal_ != nullptr && store_.FindMeta(key, version) == nullptr) {
-    wal_->Append(WalRecord::Apply(key, Value(value), version, {deps.begin(), deps.end()}));
+    CheckWalAppend(wal_->AppendApply(key, value, version, deps));
   }
   return store_.Apply(key, value, version, deps);
 }
@@ -183,10 +187,20 @@ void ChainReactionNode::DurableMarkStable(const Key& key, const Version& version
   if (wal_ != nullptr) {
     const StoredVersion* sv = store_.FindMeta(key, version);
     if (sv == nullptr || !sv->stable) {
-      wal_->Append(WalRecord::Stable(key, version));
+      CheckWalAppend(wal_->AppendStable(key, version));
     }
   }
   store_.MarkStable(key, version);
+}
+
+void ChainReactionNode::CheckWalAppend(const Status& status) {
+  if (!status.ok()) {
+    // A write the log cannot hold must not be applied and acked: a node
+    // that lost its disk is not survivable (as for a failed vlog append).
+    LOG_ERROR("node %u wal append failed: %s", static_cast<unsigned>(id_),
+              status.ToString().c_str());
+    std::abort();
+  }
 }
 
 void ChainReactionNode::AttachEnv(Env* env) {

@@ -288,6 +288,8 @@ class ChainReactionNode : public Actor {
   bool DurableApply(const Key& key, std::string_view value, const Version& version,
                     std::span<const Dependency> deps);
   void DurableMarkStable(const Key& key, const Version& version);
+  // Aborts on a failed WAL append (sticky disk error).
+  void CheckWalAppend(const Status& status);
 
   // Rebuilds stability cache, unstable-head tracking, and the lamport clock
   // from a freshly restored store (checkpoint load or WAL replay). Metadata

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -50,10 +51,10 @@ Status DiskEngine::OpenActive(uint64_t seq) {
 
 ValueHandle DiskEngine::Append(const Key& key, const Version& version,
                                std::string_view value) {
-  std::string bytes;
-  EncodeVlogRecord(key, version, value, &bytes);
+  append_buf_.clear();
+  EncodeVlogRecord(key, version, value, &append_buf_);
   ValueHandle h;
-  const Status st = AppendRaw(bytes, &h);
+  const Status st = AppendRaw(append_buf_, &h);
   if (!st.ok()) {
     // Out of disk / fd trouble is not survivable for a storage node.
     LOG_ERROR("vlog append failed: %s", st.ToString().c_str());
@@ -70,6 +71,9 @@ Status DiskEngine::AppendRaw(const std::string& bytes, ValueHandle* out) {
   while (done < bytes.size()) {
     const ssize_t n = ::pwrite(active.fd, bytes.data() + done, bytes.size() - done,
                                static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
     if (n < 0) {
       return Status::Internal("vlog pwrite failed on segment " +
                               std::to_string(active_seq_));

@@ -73,6 +73,7 @@ class DiskEngine final : public StorageEngine {
   // Ordered so compaction scans oldest-first and the manifest is stable.
   std::map<uint64_t, Segment> segments_;
   uint64_t active_seq_ = 0;
+  std::string append_buf_;  // Append's framing buffer, reused across records
 
   uint64_t appends_ = 0;
   uint64_t reads_ = 0;

@@ -6,18 +6,24 @@ namespace chainreaction {
 
 uint32_t EncodeVlogRecord(const Key& key, const Version& version,
                           std::string_view value, std::string* out) {
-  ByteWriter payload;
-  payload.PutU8(kVlogRecordTag);
-  payload.PutString(key);
-  version.Encode(&payload);
-  payload.PutStringView(value);
-
-  ByteWriter frame;
-  frame.PutU32(static_cast<uint32_t>(8 + payload.size()));
-  frame.PutU64(Fnv1a64(payload.data()));
-  out->append(frame.data());
-  out->append(payload.data());
-  return static_cast<uint32_t>(frame.size() + payload.size());
+  // One pass straight into `out`: a zeroed header, the payload, then the
+  // header patched with the payload's length and checksum.
+  const size_t start = out->size();
+  ByteWriter w(std::move(*out));
+  w.Reserve(kVlogHeaderBytes + 1 + 4 + key.size() + version.EncodedSize() + 4 + value.size());
+  w.PutU32(0);
+  w.PutU64(0);
+  w.PutU8(kVlogRecordTag);
+  w.PutString(key);
+  version.Encode(&w);
+  w.PutStringView(value);
+  const size_t framed = w.size() - start;
+  const std::string_view payload =
+      std::string_view(w.data()).substr(start + kVlogHeaderBytes);
+  w.PatchU32(start, static_cast<uint32_t>(framed - 4));
+  w.PatchU64(start + 4, Checksum64(payload));
+  *out = w.Take();
+  return static_cast<uint32_t>(framed);
 }
 
 bool DecodeVlogRecord(std::string_view bytes, VlogRecord* out) {
@@ -30,8 +36,8 @@ bool DecodeVlogRecord(std::string_view bytes, VlogRecord* out) {
   if (frame_len < 8 || static_cast<uint64_t>(frame_len) + 4 != bytes.size()) {
     return false;
   }
-  const std::string_view payload = bytes.substr(12);
-  if (Fnv1a64(payload) != crc) {
+  const std::string_view payload = bytes.substr(kVlogHeaderBytes);
+  if (Checksum64(payload) != crc) {
     return false;
   }
   ByteReader p(payload.data(), payload.size());

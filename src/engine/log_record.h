@@ -1,10 +1,11 @@
 // Value-log record framing — the disk engine's on-disk unit.
 //
 // A record is [u32 frame_len][u64 crc][payload] where frame_len counts the
-// crc field plus the payload, crc is FNV-1a over the payload bytes, and the
-// payload is:
+// crc field plus the payload, crc is Checksum64 (src/common/hash.h) over the
+// payload bytes, and the payload is:
 //
-//   u8  tag (kVlogRecordTag)
+//   u8  tag (kVlogRecordTag; 2 since the checksum moved from FNV-1a to
+//       Checksum64 — tag-1 records are rejected, there is no old reader)
 //   key       (u32 length-prefixed string)
 //   version   (Version::Encode)
 //   value     (u32 length-prefixed string)
@@ -26,7 +27,8 @@
 
 namespace chainreaction {
 
-constexpr uint8_t kVlogRecordTag = 1;
+constexpr uint8_t kVlogRecordTag = 2;
+constexpr size_t kVlogHeaderBytes = 12;  // u32 frame_len + u64 crc
 
 struct VlogRecord {
   Key key;

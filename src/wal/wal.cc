@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -18,7 +19,7 @@ namespace chainreaction {
 namespace {
 
 constexpr uint32_t kSegmentMagic = 0x4C575843;  // "CXWL"
-constexpr uint32_t kSegmentFormat = 1;
+constexpr uint32_t kSegmentFormat = 2;          // 2: Checksum64 records
 constexpr size_t kSegmentHeaderBytes = 16;      // magic + format + seq
 constexpr size_t kRecordHeaderBytes = 12;       // u32 length + u64 checksum
 
@@ -49,6 +50,52 @@ bool ParseSegmentName(const std::string& name, uint64_t* seq) {
   }
   *seq = value;
   return true;
+}
+
+// Writes all of `bytes`, resuming after short writes and EINTR. Returns 0
+// or the errno of the failed write.
+int WriteAll(int fd, std::string_view bytes) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0) {
+      return errno;
+    }
+    done += static_cast<size_t>(n);
+  }
+  return 0;
+}
+
+Status WriteError(int err, const std::string& where) {
+  return Status::Internal("write failed (errno " + std::to_string(err) + ") to " + where);
+}
+
+// Frames one record at the end of `out`: [u32 payload length][u64
+// Checksum64(payload)][payload], the payload encoded in place after a
+// zeroed header that is patched once its bytes are known.
+void FrameRecord(ByteWriter* out, WalRecordType type, std::string_view key,
+                 const Version& version, std::string_view value,
+                 std::span<const Dependency> deps) {
+  const bool apply = type == WalRecordType::kApply;
+  const size_t start = out->size();
+  out->Reserve(kRecordHeaderBytes + 1 + 4 + key.size() + version.EncodedSize() +
+               (apply ? 4 + value.size() + EncodedDepsSize(deps) : 0));
+  out->PutU32(0);
+  out->PutU64(0);
+  out->PutU8(static_cast<uint8_t>(type));
+  out->PutStringView(key);
+  version.Encode(out);
+  if (apply) {
+    out->PutStringView(value);
+    EncodeDeps(deps, out);
+  }
+  const std::string_view payload =
+      std::string_view(out->data()).substr(start + kRecordHeaderBytes);
+  out->PatchU32(start, static_cast<uint32_t>(payload.size()));
+  out->PatchU64(start + 4, Checksum64(payload));
 }
 
 std::vector<std::pair<uint64_t, std::string>> ListSegments(const std::string& dir) {
@@ -110,16 +157,6 @@ WalRecord WalRecord::Stable(Key key, const Version& version) {
   return r;
 }
 
-void WalRecord::EncodePayload(ByteWriter* w) const {
-  w->PutU8(static_cast<uint8_t>(type));
-  w->PutString(key);
-  version.Encode(w);
-  if (type == WalRecordType::kApply) {
-    w->PutString(value);
-    EncodeDeps(deps, w);
-  }
-}
-
 bool WalRecord::DecodePayload(ByteReader* r) {
   uint8_t t = 0;
   if (!r->GetU8(&t) || !r->GetString(&key) || !version.Decode(r)) {
@@ -149,7 +186,10 @@ uint64_t Wal::NewestSegmentSeq(const std::string& dir) {
   return newest;
 }
 
-Wal::Wal(std::string dir, WalOptions options) : dir_(std::move(dir)), options_(options) {}
+Wal::Wal(std::string dir, WalOptions options)
+    : dir_(std::move(dir)),
+      options_(options),
+      batch_max_(std::max<size_t>(1, options.batch_max_records)) {}
 
 Status Wal::Open(const std::string& dir, const WalOptions& options,
                  std::unique_ptr<Wal>* out) {
@@ -165,8 +205,9 @@ Status Wal::Open(const std::string& dir, const WalOptions& options,
     if (!s.ok()) {
       return s;
     }
+    wal->has_flusher_ = options.policy == FsyncPolicy::kBatch && options.start_flusher_thread;
   }
-  if (options.policy == FsyncPolicy::kBatch && options.start_flusher_thread) {
+  if (wal->has_flusher_) {
     wal->flusher_ = std::thread([w = wal.get()]() { w->FlusherLoop(); });
   }
   *out = std::move(wal);
@@ -178,13 +219,15 @@ Wal::~Wal() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
+  wake_cv_.notify_all();
   if (flusher_.joinable()) {
     flusher_.join();
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!abandoned_ && fd_ >= 0) {
-    FlushLocked();
+  std::unique_lock<std::mutex> lock(mu_);
+  if (fd_ >= 0) {  // closed already when abandoned
+    FlushLocked(lock);
+  }
+  if (fd_ >= 0) {  // a failed rotation in that flush leaves none open
     if (options_.policy != FsyncPolicy::kNone) {
       ::fsync(fd_);
     }
@@ -203,133 +246,183 @@ Status Wal::OpenSegmentLocked(uint64_t seq) {
   header.PutU32(kSegmentMagic);
   header.PutU32(kSegmentFormat);
   header.PutU64(seq);
-  const std::string& bytes = header.data();
-  if (::write(fd_, bytes.data(), bytes.size()) != static_cast<ssize_t>(bytes.size())) {
+  const int err = WriteAll(fd_, header.data());
+  if (err != 0) {
     ::close(fd_);
     fd_ = -1;
-    return Status::Internal("short write of wal segment header " + path);
+    return WriteError(err, "wal segment header " + path);
   }
-  active_seq_ = seq;
+  active_seq_.store(seq, std::memory_order_relaxed);
   active_bytes_ = kSegmentHeaderBytes;
   return Status::Ok();
 }
 
-Status Wal::Append(const WalRecord& record) {
-  ByteWriter payload;
-  record.EncodePayload(&payload);
-  ByteWriter framed;
-  framed.PutU32(static_cast<uint32_t>(payload.size()));
-  framed.PutU64(Fnv1a64(payload.data()));
-  const std::string encoded = framed.Take() + payload.data();
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (abandoned_) {
-    return Status::FailedPrecondition("wal abandoned");
+Status Wal::RollSegmentLocked() {
+  const uint64_t full_bytes = active_bytes_;
+  const bool synced = options_.policy == FsyncPolicy::kNone || ::fsync(fd_) == 0;
+  ::close(fd_);
+  fd_ = -1;
+  if (!synced) {
+    return Status::Internal("fsync failed closing wal segment in " + dir_);
   }
-  appends_++;
+  const Status opened = OpenSegmentLocked(active_seq() + 1);
+  if (opened.ok() && recorder_ != nullptr) {
+    recorder_->Emit(EventKind::kWalRotate, MonotonicMicros(),
+                    static_cast<int64_t>(active_seq()), static_cast<int64_t>(full_bytes));
+  }
+  return opened;
+}
+
+void Wal::SetErrorLocked(const Status& s) {
+  if (error_.ok() && !s.ok()) {
+    error_ = s;
+  }
+}
+
+Status Wal::Append(const WalRecord& record) {
+  return AppendRecord(record.type, record.key, record.version, record.value, record.deps);
+}
+
+Status Wal::AppendApply(std::string_view key, std::string_view value, const Version& version,
+                        std::span<const Dependency> deps) {
+  return AppendRecord(WalRecordType::kApply, key, version, value, deps);
+}
+
+Status Wal::AppendStable(std::string_view key, const Version& version) {
+  return AppendRecord(WalRecordType::kStable, key, version, {}, {});
+}
+
+Status Wal::AppendRecord(WalRecordType type, std::string_view key, const Version& version,
+                         std::string_view value, std::span<const Dependency> deps) {
+  std::unique_lock<std::mutex> lock(mu_);
+  // Only a flusher lets pending records outrun the file; without one a full
+  // batch is flushed inline and the bound is never reached.
+  const size_t bound = kPendingBatches * batch_max_;
+  int64_t waited_us = 0;
+  if (pending_records_ >= bound && error_.ok() && !abandoned_) {
+    const int64_t start = MonotonicMicros();
+    wake_cv_.notify_one();
+    flushed_cv_.wait(lock, [this, bound] {
+      return pending_records_ < bound || !error_.ok() || abandoned_;
+    });
+    waited_us = MonotonicMicros() - start;
+  }
+  if (m_append_wait_us_ != nullptr) {
+    m_append_wait_us_->Record(waited_us);
+  }
+  if (!error_.ok() || abandoned_) {
+    return error_;
+  }
+
+  FrameRecord(&pending_, type, key, version, value, deps);
+  pending_records_++;
+  appends_.fetch_add(1, std::memory_order_relaxed);
   if (m_appends_ != nullptr) {
     m_appends_->Inc();
   }
-  switch (options_.policy) {
-    case FsyncPolicy::kAlways:
-      return WriteLocked(encoded, /*sync=*/true);
-    case FsyncPolicy::kNone:
-      return WriteLocked(encoded, /*sync=*/false);
-    case FsyncPolicy::kBatch:
-      pending_ += encoded;
-      pending_records_++;
-      if (pending_records_ >= options_.batch_max_records) {
-        return FlushLocked();
-      }
-      return Status::Ok();
+  if (options_.policy != FsyncPolicy::kBatch) {
+    return FlushLocked(lock);  // kAlways / kNone: write through
+  }
+  if (pending_records_ >= batch_max_) {
+    if (!has_flusher_) {
+      return FlushLocked(lock);
+    }
+    if (pending_records_ == batch_max_) {
+      wake_cv_.notify_one();  // hand the full batch to the flusher
+    }
   }
   return Status::Ok();
 }
 
 Status Wal::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return FlushLocked();
+  std::unique_lock<std::mutex> lock(mu_);
+  return FlushLocked(lock);
 }
 
-Status Wal::FlushLocked() {
+Status Wal::FlushLocked(std::unique_lock<std::mutex>& lock) {
+  flushed_cv_.wait(lock, [this] { return !flushing_; });
+  if (!error_.ok()) {
+    return error_;
+  }
   if (pending_records_ == 0 || abandoned_) {
     return Status::Ok();
   }
-  std::string batch = std::move(pending_);
+  // Take the batch and release the lock for the I/O: appends keep filling
+  // the other buffer meanwhile, and no one else touches fd_ until
+  // flushing_ clears.
+  std::swap(pending_, writing_);
   const size_t records = pending_records_;
-  pending_.clear();
   pending_records_ = 0;
-  if (m_batch_records_ != nullptr) {
-    m_batch_records_->Record(static_cast<int64_t>(records));
-  }
-  return WriteLocked(batch, options_.policy != FsyncPolicy::kNone);
-}
+  flushing_ = true;
+  flushed_cv_.notify_all();  // appenders blocked on the bound may go on
+  const int fd = fd_;
+  const bool sync = options_.policy != FsyncPolicy::kNone;
+  lock.unlock();
 
-Status Wal::WriteLocked(const std::string& bytes, bool sync) {
-  if (fd_ < 0) {
-    return Status::Internal("wal segment not open");
-  }
-  if (::write(fd_, bytes.data(), bytes.size()) != static_cast<ssize_t>(bytes.size())) {
-    return Status::Internal("short write to wal segment in " + dir_);
-  }
-  active_bytes_ += bytes.size();
-  bytes_written_ += bytes.size();
-  if (m_bytes_ != nullptr) {
-    m_bytes_->Inc(bytes.size());
-  }
-  if (sync) {
+  const int err = WriteAll(fd, writing_.data());
+  Status s = err == 0 ? Status::Ok() : WriteError(err, "wal segment in " + dir_);
+  int64_t fsync_us = -1;
+  if (s.ok() && sync) {
     const int64_t start = MonotonicMicros();
-    if (::fsync(fd_) != 0) {
-      return Status::Internal("fsync failed in " + dir_);
-    }
-    fsyncs_++;
-    if (m_fsyncs_ != nullptr) {
-      m_fsyncs_->Inc();
-    }
-    if (m_fsync_us_ != nullptr) {
-      m_fsync_us_->Record(MonotonicMicros() - start);
+    if (::fsync(fd) != 0) {
+      s = Status::Internal("fsync failed in " + dir_);
+    } else {
+      fsync_us = MonotonicMicros() - start;
     }
   }
-  if (active_bytes_ >= options_.segment_bytes) {
-    if (options_.policy != FsyncPolicy::kNone) {
-      ::fsync(fd_);
+
+  lock.lock();
+  flushing_ = false;
+  const size_t bytes = writing_.size();
+  writing_.Clear();
+  if (s.ok()) {
+    active_bytes_ += bytes;
+    bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
+    if (m_bytes_ != nullptr) {
+      m_bytes_->Inc(bytes);
     }
-    ::close(fd_);
-    const uint64_t full_bytes = active_bytes_;
-    const Status opened = OpenSegmentLocked(active_seq_ + 1);
-    if (recorder_ != nullptr) {
-      recorder_->Emit(EventKind::kWalRotate, MonotonicMicros(),
-                      static_cast<int64_t>(active_seq_), static_cast<int64_t>(full_bytes));
+    if (options_.policy == FsyncPolicy::kBatch && m_batch_records_ != nullptr) {
+      m_batch_records_->Record(static_cast<int64_t>(records));
     }
-    return opened;
+    if (fsync_us >= 0) {
+      fsyncs_.fetch_add(1, std::memory_order_relaxed);
+      if (m_fsyncs_ != nullptr) {
+        m_fsyncs_->Inc();
+      }
+      if (m_fsync_us_ != nullptr) {
+        m_fsync_us_->Record(fsync_us);
+      }
+    }
+    if (active_bytes_ >= options_.segment_bytes) {
+      s = RollSegmentLocked();
+    }
   }
-  return Status::Ok();
+  SetErrorLocked(s);
+  flushed_cv_.notify_all();
+  return s;
 }
 
-uint64_t Wal::Rotate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (abandoned_ || fd_ < 0) {
-    return active_seq_;
+Result<uint64_t> Wal::Rotate() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (abandoned_) {
+    return active_seq();
   }
-  FlushLocked();
-  if (options_.policy != FsyncPolicy::kNone) {
-    ::fsync(fd_);
+  Status s = FlushLocked(lock);
+  if (s.ok() && !abandoned_) {
+    s = RollSegmentLocked();
+    SetErrorLocked(s);
   }
-  ::close(fd_);
-  const uint64_t old_bytes = active_bytes_;
-  OpenSegmentLocked(active_seq_ + 1);
-  if (recorder_ != nullptr) {
-    recorder_->Emit(EventKind::kWalRotate, MonotonicMicros(),
-                    static_cast<int64_t>(active_seq_), static_cast<int64_t>(old_bytes));
+  if (!s.ok()) {
+    return s;
   }
-  return active_seq_;
+  return active_seq();
 }
 
 void Wal::DeleteSegmentsBelow(uint64_t seq) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t deleted = 0;
   for (const auto& [s, path] : ListSegments(dir_)) {
-    if (s < seq && s != active_seq_) {
+    if (s < seq && s != active_seq()) {
       std::error_code ec;
       if (std::filesystem::remove(path, ec)) {
         deleted++;
@@ -344,8 +437,9 @@ void Wal::DeleteSegmentsBelow(uint64_t seq) {
 
 void Wal::AbandonPending() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.clear();
+    std::unique_lock<std::mutex> lock(mu_);
+    flushed_cv_.wait(lock, [this] { return !flushing_; });
+    pending_.Clear();
     pending_records_ = 0;
     abandoned_ = true;
     stop_ = true;
@@ -354,7 +448,13 @@ void Wal::AbandonPending() {
       fd_ = -1;
     }
   }
-  cv_.notify_all();
+  wake_cv_.notify_all();
+  flushed_cv_.notify_all();
+}
+
+void Wal::SetRecorder(FlightRecorder* recorder) {
+  std::lock_guard<std::mutex> lock(mu_);
+  recorder_ = recorder;
 }
 
 void Wal::AttachObs(MetricsRegistry* metrics, const std::string& node) {
@@ -362,22 +462,29 @@ void Wal::AttachObs(MetricsRegistry* metrics, const std::string& node) {
     return;
   }
   const MetricLabels labels = {{"node", node}};
+  std::lock_guard<std::mutex> lock(mu_);
   m_appends_ = metrics->GetCounter("crx_wal_appends", labels);
   m_fsyncs_ = metrics->GetCounter("crx_wal_fsyncs", labels);
   m_bytes_ = metrics->GetCounter("crx_wal_bytes", labels);
   m_fsync_us_ = metrics->GetLatency("crx_wal_fsync_us", labels);
   m_batch_records_ = metrics->GetLatency("crx_wal_batch_records", labels);
+  m_append_wait_us_ = metrics->GetLatency("crx_wal_append_wait_us", labels);
 }
 
 void Wal::FlusherLoop() {
   std::unique_lock<std::mutex> lock(mu_);
+  const auto window = std::chrono::microseconds(options_.batch_window_us);
   while (!stop_) {
-    cv_.wait_for(lock, std::chrono::microseconds(options_.batch_window_us));
+    // Flush when a batch fills (Append wakes us) or the window elapses.
+    // After an I/O error nothing more can be written: just idle until stop.
+    wake_cv_.wait_for(lock, window, [this] {
+      return stop_ || (pending_records_ >= batch_max_ && error_.ok());
+    });
     if (stop_) {
       break;
     }
-    if (pending_records_ > 0) {
-      FlushLocked();
+    if (pending_records_ > 0 && error_.ok()) {
+      FlushLocked(lock);  // a failure is sticky; the next Append reports it
     }
   }
 }
@@ -430,8 +537,12 @@ Status Wal::Replay(const std::string& dir, uint64_t min_seq,
     header.GetU32(&magic);
     header.GetU32(&format);
     header.GetU64(&header_seq);
-    if (magic != kSegmentMagic || format != kSegmentFormat || header_seq != seq) {
+    if (magic != kSegmentMagic || header_seq != seq) {
       return Status::Corruption("bad wal segment header: " + path);
+    }
+    if (format != kSegmentFormat) {
+      return Status::Corruption("unsupported wal segment format " + std::to_string(format) +
+                                ": " + path);
     }
 
     size_t pos = kSegmentHeaderBytes;
@@ -457,7 +568,7 @@ Status Wal::Replay(const std::string& dir, uint64_t min_seq,
         return Status::Corruption("wal record truncated mid-log: " + path);
       }
       const std::string_view payload(contents.data() + pos + kRecordHeaderBytes, length);
-      if (Fnv1a64(payload) != checksum) {
+      if (Checksum64(payload) != checksum) {
         return Status::Corruption("wal record checksum mismatch at offset " +
                                   std::to_string(pos) + " in " + path);
       }

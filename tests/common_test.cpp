@@ -191,6 +191,43 @@ TEST(Hash, Fnv1aKnownValues) {
   EXPECT_EQ(Fnv1a64("chainreaction"), Fnv1a64("chainreaction"));
 }
 
+TEST(Hash, Checksum64KnownValues) {
+  // Pinned: WAL and value-log records on disk carry this checksum.
+  std::string ramp;
+  for (int i = 0; i < 64; ++i) {
+    ramp.push_back(static_cast<char>(i));
+  }
+  EXPECT_EQ(Checksum64(""), 0x9353dfc8a195f3e2ULL);
+  EXPECT_EQ(Checksum64("chainreaction"), 0x2df6e96c75dbb265ULL);
+  EXPECT_EQ(Checksum64(ramp), 0xb4156b4ef3da1b75ULL);
+}
+
+TEST(Hash, Checksum64DetectsEverySingleBitFlip) {
+  // Lengths around the 8-byte word and 32-byte lane-block boundaries, plus
+  // a WAL-sized value.
+  Rng rng(0xC5);
+  for (const size_t len : {1u, 7u, 8u, 9u, 31u, 32u, 33u, 63u, 64u, 65u, 100u, 1031u}) {
+    std::string data(len, '\0');
+    for (char& c : data) {
+      c = static_cast<char>(rng.NextBelow(256));
+    }
+    const uint64_t base = Checksum64(data);
+    for (size_t bit = 0; bit < len * 8; ++bit) {
+      data[bit / 8] = static_cast<char>(data[bit / 8] ^ (1 << (bit % 8)));
+      ASSERT_NE(Checksum64(data), base) << "len=" << len << " bit=" << bit;
+      data[bit / 8] = static_cast<char>(data[bit / 8] ^ (1 << (bit % 8)));
+    }
+  }
+}
+
+TEST(Hash, Checksum64SeesLength) {
+  std::set<uint64_t> outputs;
+  for (size_t len = 0; len <= 100; ++len) {
+    outputs.insert(Checksum64(std::string(len, '\0')));
+  }
+  EXPECT_EQ(outputs.size(), 101u);  // zero padding never aliases a shorter input
+}
+
 TEST(Hash, Mix64Bijective) {
   std::set<uint64_t> outputs;
   for (uint64_t i = 0; i < 10000; ++i) {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/engine/disk_engine.h"
 #include "src/engine/log_record.h"
@@ -124,6 +126,34 @@ TEST(VlogRecord, GarbageNeverCrashes) {
     DecodeVlogRecord(garbage, &rec);  // outcome irrelevant; must not crash
   }
   EXPECT_FALSE(DecodeVlogRecord("definitely not a record", &rec));
+}
+
+TEST(VlogRecord, OldTagRecordIsCorruption) {
+  // A tag-1 record as written before the Checksum64 format (FNV-1a crc).
+  ByteWriter payload;
+  payload.PutU8(1);
+  payload.PutString("key");
+  V(5, 0, {5}).Encode(&payload);
+  payload.PutString("old-value");
+  ByteWriter record;
+  record.PutU32(static_cast<uint32_t>(8 + payload.size()));
+  record.PutU64(Fnv1a64(payload.data()));
+  const std::string bytes = record.data() + payload.data();
+  VlogRecord rec;
+  EXPECT_FALSE(DecodeVlogRecord(bytes, &rec));
+
+  // Read back through the engine: kCorruption, not a value.
+  ScratchDir dir("oldtag");
+  FILE* f = std::fopen((dir.path() + "/" + DiskEngine::SegmentFileName(1)).c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  auto engine = OpenDisk(dir.path());
+  ASSERT_NE(engine, nullptr);
+  const ValueHandle handle{1, 0, static_cast<uint32_t>(bytes.size())};
+  ASSERT_TRUE(engine->AdoptLive(handle));
+  Value value;
+  EXPECT_EQ(engine->Read(handle, &value).code(), StatusCode::kCorruption);
 }
 
 // --- disk engine --------------------------------------------------------

@@ -1,13 +1,23 @@
 // Segmented write-ahead log: append/replay round trips, group-commit fsync
-// accounting, segment rotation and checkpoint-coordinated truncation, and
-// the corruption taxonomy (torn tail recoverable, everything else fatal).
+// accounting, segment rotation and checkpoint-coordinated truncation, the
+// corruption taxonomy (torn tail recoverable, everything else fatal), sticky
+// I/O errors, and flushing off the appending thread (order, shutdown and
+// crash safety with a flush in flight).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/common/bytes.h"
+#include "src/common/hash.h"
+#include "src/obs/metrics.h"
 #include "src/storage/checkpoint.h"
 #include "src/storage/versioned_store.h"
 #include "src/wal/wal.h"
@@ -61,6 +71,31 @@ class WalTest : public ::testing::Test {
   }
 
   std::string SegmentPath(uint64_t seq) const { return dir_ + "/" + Wal::SegmentFileName(seq); }
+
+  // Background-flusher options: batches are written off the appending
+  // thread, every `window_us` or when `batch` records are pending.
+  static WalOptions FlusherOpts(uint32_t batch, Duration window_us) {
+    WalOptions o;
+    o.policy = FsyncPolicy::kBatch;
+    o.batch_max_records = batch;
+    o.batch_window_us = window_us;
+    o.start_flusher_thread = true;
+    return o;
+  }
+
+  // Record i of an ordered stream: its lamport is i + 1.
+  static WalRecord Nth(uint64_t i) {
+    return WalRecord::Apply("k" + std::to_string(i % 97), std::string(40, 'v'),
+                            V(i + 1, 0, {i + 1}), {});
+  }
+
+  // Asserts `records` is exactly records 0..n-1 of the Nth() stream.
+  static void ExpectPrefix(const std::vector<WalRecord>& records, size_t n) {
+    ASSERT_EQ(records.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(records[i].version.lamport, i + 1) << "record " << i;
+    }
+  }
 
   std::string dir_;
 };
@@ -173,7 +208,7 @@ TEST_F(WalTest, RotationAndTruncation) {
   std::unique_ptr<Wal> wal;
   ASSERT_TRUE(Wal::Open(dir_, Opts(FsyncPolicy::kAlways), &wal).ok());
   ASSERT_TRUE(wal->Append(WalRecord::Stable("seg1", V(1, 0, {1}))).ok());
-  const uint64_t floor1 = wal->Rotate();
+  const uint64_t floor1 = wal->Rotate().value();
   EXPECT_EQ(floor1, wal->active_seq());
   ASSERT_TRUE(wal->Append(WalRecord::Stable("seg2", V(2, 0, {2}))).ok());
 
@@ -189,7 +224,7 @@ TEST_F(WalTest, ReplayFloorSkipsCoveredSegments) {
   std::unique_ptr<Wal> wal;
   ASSERT_TRUE(Wal::Open(dir_, Opts(FsyncPolicy::kAlways), &wal).ok());
   ASSERT_TRUE(wal->Append(WalRecord::Stable("old", V(1, 0, {1}))).ok());
-  const uint64_t floor_seq = wal->Rotate();
+  const uint64_t floor_seq = wal->Rotate().value();
   ASSERT_TRUE(wal->Append(WalRecord::Stable("new", V(2, 0, {2}))).ok());
   wal.reset();
 
@@ -251,7 +286,7 @@ TEST_F(WalTest, TruncationMidLogIsCorruption) {
   ASSERT_TRUE(Wal::Open(dir_, Opts(FsyncPolicy::kAlways), &wal).ok());
   ASSERT_TRUE(wal->Append(WalRecord::Stable("one", V(1, 0, {1}))).ok());
   const uint64_t old_seq = wal->active_seq();
-  wal->Rotate();
+  ASSERT_TRUE(wal->Rotate().ok());
   ASSERT_TRUE(wal->Append(WalRecord::Stable("two", V(2, 0, {2}))).ok());
   wal.reset();
 
@@ -300,7 +335,7 @@ TEST_F(WalTest, CheckpointNewerThanLogReplaysNothing) {
   store.Apply("k", "v", V(1, 0, {1}));
   ASSERT_TRUE(wal->Append(WalRecord::Apply("k", "v", V(1, 0, {1}), {})).ok());
 
-  const uint64_t floor_seq = wal->Rotate();
+  const uint64_t floor_seq = wal->Rotate().value();
   const std::string ckpt = dir_ + "/checkpoint.crx";
   ASSERT_TRUE(SaveCheckpoint(store, ckpt, floor_seq).ok());
   wal->DeleteSegmentsBelow(floor_seq);
@@ -334,6 +369,191 @@ TEST_F(WalTest, ReopenAppendsNewSegment) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].key, "first-run");
   EXPECT_EQ(records[1].key, "second-run");
+}
+
+TEST_F(WalTest, AppendApplyFramesLikeAppend) {
+  const std::vector<Dependency> deps = {Dependency{"z", V(9, 1, {0, 3}), true},
+                                        Dependency{"y", V(4, 0, {4, 0}), false}};
+  {
+    std::unique_ptr<Wal> wal;
+    ASSERT_TRUE(Wal::Open(dir_, Opts(FsyncPolicy::kBatch), &wal).ok());
+    ASSERT_TRUE(wal->AppendApply("a", "value-a", V(1, 0, {1, 0}), deps).ok());
+    ASSERT_TRUE(wal->AppendStable("a", V(1, 0, {1, 0})).ok());
+    ASSERT_TRUE(wal->Append(WalRecord::Apply("a", "value-a", V(1, 0, {1, 0}), deps)).ok());
+  }
+  const std::vector<WalRecord> records = ReplayAll();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].type, WalRecordType::kStable);
+  for (const size_t i : {0u, 2u}) {
+    EXPECT_EQ(records[i].type, WalRecordType::kApply);
+    EXPECT_EQ(records[i].key, "a");
+    EXPECT_EQ(records[i].value, "value-a");
+    EXPECT_TRUE(records[i].version == V(1, 0, {1, 0}));
+    ASSERT_EQ(records[i].deps.size(), 2u);
+    EXPECT_EQ(records[i].deps[1].key, "y");
+    EXPECT_FALSE(records[i].deps[1].local_stable);
+  }
+}
+
+TEST_F(WalTest, IoErrorIsStickyAfterFailedRotation) {
+  WalOptions opts = Opts(FsyncPolicy::kNone);
+  opts.segment_bytes = 256;  // tiny: an append soon forces a rotation
+  std::unique_ptr<Wal> wal;
+  ASSERT_TRUE(Wal::Open(dir_, opts, &wal).ok());
+  // With the directory gone the open segment stays writable, but the next
+  // segment cannot be created (this works even for root, unlike chmod).
+  std::filesystem::remove_all(dir_);
+  Status failed;
+  for (uint64_t i = 0; i < 32 && failed.ok(); ++i) {
+    failed = wal->Append(Nth(i));
+  }
+  ASSERT_FALSE(failed.ok()) << "rotation into a removed directory never failed";
+  EXPECT_EQ(failed.code(), StatusCode::kInternal);
+  // Every later operation reports the first error.
+  EXPECT_EQ(wal->Append(Nth(99)).code(), failed.code());
+  EXPECT_EQ(wal->AppendStable("k", V(1, 0, {1})).code(), failed.code());
+  EXPECT_EQ(wal->Flush().code(), failed.code());
+  EXPECT_EQ(wal->Rotate().status().code(), failed.code());
+  EXPECT_EQ(wal->Flush().ToString(), failed.ToString());
+}
+
+TEST_F(WalTest, BackgroundFlushErrorReachesNextAppend) {
+  WalOptions opts = FlusherOpts(/*batch=*/1, /*window_us=*/50);
+  opts.segment_bytes = 256;
+  std::unique_ptr<Wal> wal;
+  ASSERT_TRUE(Wal::Open(dir_, opts, &wal).ok());
+  std::filesystem::remove_all(dir_);
+  // The flusher fails the rotation; appends start failing soon after.
+  Status failed;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (uint64_t i = 0; failed.ok() && std::chrono::steady_clock::now() < deadline; ++i) {
+    failed = wal->Append(Nth(i));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(wal->Flush().code(), failed.code());
+}
+
+TEST_F(WalTest, ConcurrentFlushAndRotateKeepAppendOrder) {
+  WalOptions opts = FlusherOpts(/*batch=*/8, /*window_us=*/50);
+  opts.segment_bytes = 4096;  // the flusher rotates too
+  std::unique_ptr<Wal> wal;
+  ASSERT_TRUE(Wal::Open(dir_, opts, &wal).ok());
+  constexpr uint64_t kRecords = 600;
+  std::atomic<bool> done{false};
+  std::thread appender([&] {
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      EXPECT_TRUE(wal->Append(Nth(i)).ok());
+    }
+    done = true;
+  });
+  uint64_t rotations = 0;
+  while (!done) {
+    EXPECT_TRUE(wal->Flush().ok());
+    EXPECT_TRUE(wal->Rotate().ok());
+    rotations++;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  appender.join();
+  wal.reset();
+  EXPECT_GT(rotations, 0u);
+  ExpectPrefix(ReplayAll(), kRecords);  // every record once, in append order
+}
+
+TEST_F(WalTest, DestroyWithFlushInFlightKeepsEverything) {
+  for (int round = 0; round < 20; ++round) {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+    constexpr uint64_t kRecords = 200;
+    {
+      std::unique_ptr<Wal> wal;
+      ASSERT_TRUE(Wal::Open(dir_, FlusherOpts(/*batch=*/4, /*window_us=*/50), &wal).ok());
+      for (uint64_t i = 0; i < kRecords; ++i) {
+        ASSERT_TRUE(wal->Append(Nth(i)).ok());
+      }
+    }  // the flusher is usually mid-batch here: clean shutdown waits for it
+    ExpectPrefix(ReplayAll(), kRecords);
+  }
+}
+
+TEST_F(WalTest, AbandonWithFlushInFlightKeepsAPrefix) {
+  for (int round = 0; round < 20; ++round) {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+    std::unique_ptr<Wal> wal;
+    ASSERT_TRUE(Wal::Open(dir_, FlusherOpts(/*batch=*/4, /*window_us=*/50), &wal).ok());
+    std::atomic<uint64_t> appended{0};
+    std::thread appender([&] {
+      // Appends racing the crash are dropped, never an error.
+      for (uint64_t i = 0; i < 400; ++i) {
+        EXPECT_TRUE(wal->Append(Nth(i)).ok());
+        appended = i + 1;
+      }
+    });
+    while (appended < 50) {
+      std::this_thread::yield();
+    }
+    wal->AbandonPending();
+    appender.join();
+    wal.reset();
+    // A crash keeps some prefix of the appends: batches reach the file in
+    // order, and nothing after the crash lands.
+    const std::vector<WalRecord> records = ReplayAll();
+    ASSERT_LE(records.size(), 400u);
+    ExpectPrefix(records, records.size());
+  }
+}
+
+TEST_F(WalTest, AppendBelowBoundNeverWaitsOrWrites) {
+  // A window far longer than the test: only a full batch wakes the flusher.
+  std::unique_ptr<Wal> wal;
+  ASSERT_TRUE(Wal::Open(dir_, FlusherOpts(/*batch=*/16, /*window_us=*/60'000'000), &wal).ok());
+  MetricsRegistry metrics;
+  wal->AttachObs(&metrics, "0");
+  for (uint64_t i = 0; i < 15; ++i) {
+    ASSERT_TRUE(wal->Append(Nth(i)).ok());
+  }
+  // Appends with a flusher never write or fsync themselves.
+  EXPECT_EQ(wal->bytes_written(), 0u);
+  EXPECT_EQ(wal->fsyncs(), 0u);
+  // The batch-filling append hands off to the flusher, which fsyncs it.
+  ASSERT_TRUE(wal->Append(Nth(15)).ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (wal->fsyncs() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(wal->fsyncs(), 1u);
+  const Histogram waits = metrics.GetLatency("crx_wal_append_wait_us", {{"node", "0"}})->Snapshot();
+  EXPECT_EQ(waits.count(), 16u);
+  EXPECT_EQ(waits.max(), 0);
+  wal.reset();
+  ExpectPrefix(ReplayAll(), 16);
+}
+
+TEST_F(WalTest, FormatOneSegmentIsCorruption) {
+  // A segment written before the Checksum64 format: header format 1, one
+  // record framed with the FNV-1a checksum.
+  std::filesystem::create_directories(dir_);
+  ByteWriter payload;
+  payload.PutU8(static_cast<uint8_t>(WalRecordType::kStable));
+  payload.PutString("k");
+  V(1, 0, {1}).Encode(&payload);
+  ByteWriter file;
+  file.PutU32(0x4C575843);  // "CXWL"
+  file.PutU32(1);
+  file.PutU64(1);
+  file.PutU32(static_cast<uint32_t>(payload.size()));
+  file.PutU64(Fnv1a64(payload.data()));
+  FILE* f = std::fopen(SegmentPath(1).c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(file.data().data(), 1, file.size(), f);
+  std::fwrite(payload.data().data(), 1, payload.size(), f);
+  std::fclose(f);
+
+  Status status;
+  ReplayAll(0, nullptr, &status);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_NE(status.ToString().find("format 1"), std::string::npos) << status.ToString();
 }
 
 }  // namespace
