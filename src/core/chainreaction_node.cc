@@ -13,7 +13,6 @@
 namespace chainreaction {
 
 namespace {
-constexpr size_t kCompletedReqCap = 8192;
 
 // Recovery replay is a real I/O cost, measured on the wall clock (the node
 // may not even have an Env attached yet when it recovers).
@@ -508,9 +507,8 @@ void ChainReactionNode::HandlePut(CrxPutView& put) {
 
   // Retry dedup: the version was already assigned; re-propagate it so the
   // ack (and stabilization) is regenerated, but do not assign a new version.
-  auto seen = completed_reqs_.find({put.client, put.req});
-  if (seen != completed_reqs_.end()) {
-    const StoredVersion* sv = store_.Find(key, seen->second);
+  if (const Version* seen = completed_reqs_.Find(put.client, put.req)) {
+    const StoredVersion* sv = store_.Find(key, *seen);
     if (sv != nullptr) {
       // Copy the value out first: re-propagation may stabilize the entry
       // and trigger store GC, which can relocate the vector element a view
@@ -695,14 +693,7 @@ void ChainReactionNode::ApplyAndPropagate(CrxPutView& put) {
   version.lamport = NextLamport();
   version.origin = config_.local_dc;
 
-  // At the FIFO cap (steady state) every put both inserts and evicts one
-  // dedup entry; the recycled node makes that churn allocation-free.
-  completed_cache_.Claim(completed_reqs_, {put.client, put.req}).first->second = version;
-  completed_order_.push_back({put.client, put.req});
-  while (completed_order_.size() > kCompletedReqCap) {
-    completed_cache_.Erase(completed_reqs_, completed_order_.front());
-    completed_order_.pop_front();
-  }
+  completed_reqs_.Record(put.client, put.req, version);
 
   ApplyVersion(key, put.value, version, put.client, put.req, config_.k_stability,
                put.deps, /*chain_seq=*/0, std::move(put.trace));

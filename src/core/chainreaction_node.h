@@ -33,6 +33,7 @@
 #include "src/common/types.h"
 #include "src/common/version.h"
 #include "src/core/config.h"
+#include "src/core/request_window.h"
 #include "src/msg/message.h"
 #include "src/obs/alloc_phase.h"
 #include "src/obs/events.h"
@@ -47,6 +48,11 @@ namespace chainreaction {
 
 class ChainReactionNode : public Actor {
  public:
+  // How many recently versioned client requests a head remembers for retry
+  // dedup: a retry arriving after this many newer puts at the same head is
+  // treated as a new put.
+  static constexpr size_t kCompletedReqCap = 8192;
+
   ChainReactionNode(NodeId id, CrxConfig config, Ring initial_ring);
 
   // Attaches the runtime environment; starts the heartbeat loop when the
@@ -346,17 +352,18 @@ class ChainReactionNode : public Actor {
   // Head state.
   uint64_t next_token_ = 1;
   std::unordered_map<uint64_t, PendingPut> gated_puts_;  // token -> parked put
-  // Requests already assigned a version (client retry dedup). Bounded FIFO.
-  std::map<std::pair<Address, RequestId>, Version> completed_reqs_;
-  std::deque<std::pair<Address, RequestId>> completed_order_;
+  // Requests already assigned a version (client retry dedup): the last
+  // kCompletedReqCap of them, in a flat FIFO window that does not allocate
+  // once full.
+  RequestWindow completed_reqs_{kCompletedReqCap};
   // Requests currently parked behind dependency gating, mapped to their
   // gating token so client retries can re-probe instead of re-parking.
-  std::map<std::pair<Address, RequestId>, uint64_t> gated_reqs_;
-  // Node recyclers for the per-request churn above (insert on park/apply,
-  // erase on confirm/evict — one heap node per put without them).
+  std::unordered_map<std::pair<Address, RequestId>, uint64_t, RequestKeyHash> gated_reqs_;
+  // Node recyclers for the parked-put churn above (insert on park, erase on
+  // confirm — one heap node per gated put without them).
   MapNodeCache<std::unordered_map<uint64_t, PendingPut>> gated_puts_cache_;
-  MapNodeCache<std::map<std::pair<Address, RequestId>, Version>> completed_cache_;
-  MapNodeCache<std::map<std::pair<Address, RequestId>, uint64_t>> gated_reqs_cache_;
+  MapNodeCache<std::unordered_map<std::pair<Address, RequestId>, uint64_t, RequestKeyHash>>
+      gated_reqs_cache_;
   // Keys this node heads whose newest version is not yet DC-Write-Stable;
   // re-propagated by the anti-entropy timer if stability stalls (lost
   // chain messages). Timer is armed iff the set is non-empty.

@@ -214,6 +214,9 @@ void TcpRuntime::Loop(Shard* shard) {
     // work produced, before going to sleep.
     FlushAll(shard);
 
+    // Connections closed during the last cycle leave the poll set here, at
+    // the one point where no handler can still hold them.
+    std::erase_if(shard->conns, [](const std::unique_ptr<Connection>& c) { return c->fd < 0; });
     fds.clear();
     fds.push_back({shard->listen_fd, POLLIN, 0});
     fds.push_back({shard->wake_read_fd, POLLIN, 0});
@@ -249,23 +252,27 @@ void TcpRuntime::Loop(Shard* shard) {
     }
 
     if ((fds[1].revents & POLLIN) != 0) {
+      // wake_armed lets at most one byte per drain into the pipe (plus one
+      // from Stop), so one read empties it.
       char buf[256];
-      while (read(shard->wake_read_fd, buf, sizeof(buf)) > 0) {
-      }
+      ssize_t ignored = read(shard->wake_read_fd, buf, sizeof(buf));
+      (void)ignored;
     }
     if ((fds[0].revents & POLLIN) != 0) {
       AcceptNew(shard);
     }
-    // conns may grow during handling (new outgoing connections); only the
-    // prefix snapshotted into fds is touched here.
+    // conns may grow during handling (new outgoing connections) and
+    // entries may close (fd -1); only the prefix snapshotted into fds is
+    // touched here, and nothing is removed until the next cycle's sweep.
     const size_t snapshot = fds.size() - 2;
     for (size_t i = 0; i < snapshot; ++i) {
       const short revents = fds[i + 2].revents;
+      Connection* conn = shard->conns[i].get();
       if ((revents & POLLOUT) != 0) {
-        FlushOutbox(shard, shard->conns[i].get());
+        FlushOutbox(shard, conn);
       }
-      if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-        ReadFrom(shard, i);
+      if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0 && conn->fd >= 0) {
+        ReadFrom(shard, conn);
       }
     }
     UpdateQueueGauge();
@@ -333,13 +340,22 @@ void TcpRuntime::AcceptNew(Shard* shard) {
   }
 }
 
-void TcpRuntime::ReadFrom(Shard* shard, size_t conn_index) {
-  Connection* conn = shard->conns[conn_index].get();
+// Reads until the socket has nothing more for now: a read shorter than the
+// buffer means the kernel queue is drained (poll is level-triggered, so
+// bytes arriving later are reported again), which saves the extra read
+// that would only return EAGAIN. EOF or a hard error closes the connection
+// once the frames already buffered are delivered; leaving the fd in the
+// poll set would make every poll return at once.
+void TcpRuntime::ReadFrom(Shard* shard, Connection* conn) {
   char buf[16 * 1024];
+  bool closed = false;
   while (true) {
     const ssize_t n = read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
       conn->inbox.append(buf, static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < sizeof(buf)) {
+        break;
+      }
       continue;
     }
     if (n < 0 && errno == EINTR) {
@@ -348,13 +364,18 @@ void TcpRuntime::ReadFrom(Shard* shard, size_t conn_index) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       break;
     }
-    // Peer closed (or error): frames already buffered still get parsed.
+    if (n < 0) {
+      LOG_WARN("read failed: %s; closing connection", std::strerror(errno));
+    }
+    closed = true;
     break;
   }
-  ParseFrames(shard, conn);
+  if (!ParseFrames(shard, conn) || closed) {
+    CloseConnection(shard, conn);
+  }
 }
 
-void TcpRuntime::ParseFrames(Shard* shard, Connection* conn) {
+bool TcpRuntime::ParseFrames(Shard* shard, Connection* conn) {
   size_t offset = 0;
   while (conn->inbox.size() - offset >= kFrameHeader) {
     uint32_t length = 0, src = 0, dst = 0;
@@ -362,9 +383,9 @@ void TcpRuntime::ParseFrames(Shard* shard, Connection* conn) {
     std::memcpy(&src, conn->inbox.data() + offset + 4, 4);
     std::memcpy(&dst, conn->inbox.data() + offset + 8, 4);
     if (length > (64u << 20)) {
-      LOG_ERROR("oversized frame (%u bytes); dropping connection buffer", length);
+      LOG_ERROR("oversized frame (%u bytes); closing connection", length);
       conn->inbox.clear();
-      return;
+      return false;
     }
     if (conn->inbox.size() - offset - kFrameHeader < length) {
       break;  // incomplete
@@ -384,6 +405,7 @@ void TcpRuntime::ParseFrames(Shard* shard, Connection* conn) {
   if (offset > 0) {
     conn->inbox.erase(0, offset);
   }
+  return true;
 }
 
 void TcpRuntime::Deliver(Shard* shard, Address src, Address dst, std::string_view payload) {
@@ -445,11 +467,10 @@ void TcpRuntime::SendFrame(Shard* shard, Address src, Address dst, Payload paylo
     LOG_WARN("no route to address %u", dst);
     return;
   }
-  const int conn_index = ConnectionTo(shard, target_port);
-  if (conn_index < 0) {
+  Connection* conn = ConnectionTo(shard, target_port);
+  if (conn == nullptr) {
     return;
   }
-  Connection* conn = shard->conns[static_cast<size_t>(conn_index)].get();
   OutFrame frame;
   const uint32_t length = static_cast<uint32_t>(payload.size());
   std::memcpy(frame.header, &length, 4);
@@ -474,17 +495,19 @@ void TcpRuntime::SendFrame(Shard* shard, Address src, Address dst, Payload paylo
 
 void TcpRuntime::FlushAll(Shard* shard) {
   for (const auto& conn : shard->conns) {
-    if (!conn->outbox.empty()) {
+    if (!conn->outbox.empty()) {  // a closed connection's outbox is empty
       FlushOutbox(shard, conn.get());
     }
   }
   UpdateQueueGauge();
 }
 
-// Gathers as many queued frames as fit into one writev and resumes
+// Gathers as many queued frames as fit into one sendmsg and resumes
 // correctly on partial writes: the front frame's written prefix is tracked
 // in Connection::front_written, EINTR retries, EAGAIN defers to POLLOUT.
-// Only a real socket error (broken connection) drops the queue.
+// Only a real socket error (broken connection) drops the queue, and closes
+// the connection. MSG_NOSIGNAL turns a write to a peer that has gone away
+// into EPIPE instead of a process-killing SIGPIPE.
 void TcpRuntime::FlushOutbox(Shard* shard, Connection* conn) {
   while (!conn->outbox.empty()) {
     iovec iov[kMaxIov];
@@ -513,7 +536,10 @@ void TcpRuntime::FlushOutbox(Shard* shard, Connection* conn) {
       skip = 0;
     }
 
-    const ssize_t n = writev(conn->fd, iov, static_cast<int>(niov));
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = niov;
+    const ssize_t n = sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;  // interrupted before any byte moved; retry
@@ -522,12 +548,10 @@ void TcpRuntime::FlushOutbox(Shard* shard, Connection* conn) {
         break;  // poll will retry with POLLOUT
       }
       // Broken connection: the queued frames can never be delivered.
-      LOG_WARN("writev failed: %s; dropping %zu buffered bytes", std::strerror(errno),
+      LOG_WARN("sendmsg failed: %s; dropping %zu buffered bytes", std::strerror(errno),
                conn->outbox_bytes);
-      conn->outbox.clear();
-      conn->front_written = 0;
-      conn->outbox_bytes = 0;
-      break;
+      CloseConnection(shard, conn);
+      return;
     }
     writev_calls_.fetch_add(1);
     if (m_writev_calls_ != nullptr) {
@@ -559,6 +583,10 @@ void TcpRuntime::FlushOutbox(Shard* shard, Connection* conn) {
       }
     }
   }
+  RecountOutbox(shard);
+}
+
+void TcpRuntime::RecountOutbox(Shard* shard) {
   size_t pending = 0;
   for (const auto& c : shard->conns) {
     pending += c->outbox_bytes;
@@ -566,14 +594,29 @@ void TcpRuntime::FlushOutbox(Shard* shard, Connection* conn) {
   shard->outbox_bytes.store(pending, std::memory_order_relaxed);
 }
 
-int TcpRuntime::ConnectionTo(Shard* shard, uint16_t target_port) {
+void TcpRuntime::CloseConnection(Shard* shard, Connection* conn) {
+  if (conn->fd < 0) {
+    return;
+  }
+  close(conn->fd);
+  conn->fd = -1;
+  conn->outbox.clear();
+  conn->front_written = 0;
+  conn->outbox_bytes = 0;
+  if (conn->peer_port != 0) {
+    shard->port_to_conn.erase(conn->peer_port);  // the only open one to that port
+  }
+  RecountOutbox(shard);
+}
+
+TcpRuntime::Connection* TcpRuntime::ConnectionTo(Shard* shard, uint16_t target_port) {
   auto it = shard->port_to_conn.find(target_port);
   if (it != shard->port_to_conn.end()) {
     return it->second;
   }
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
-    return -1;
+    return nullptr;
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -583,16 +626,17 @@ int TcpRuntime::ConnectionTo(Shard* shard, uint16_t target_port) {
   if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     LOG_WARN("connect to port %u failed: %s", target_port, std::strerror(errno));
     close(fd);
-    return -1;
+    return nullptr;
   }
   SetNonBlocking(fd);
   SetNoDelay(fd);
   auto conn = std::make_unique<Connection>();
   conn->fd = fd;
+  conn->peer_port = target_port;
+  Connection* raw = conn.get();
   shard->conns.push_back(std::move(conn));
-  const int index = static_cast<int>(shard->conns.size() - 1);
-  shard->port_to_conn[target_port] = index;
-  return index;
+  shard->port_to_conn[target_port] = raw;
+  return raw;
 }
 
 void TcpRuntime::CloseAll() {

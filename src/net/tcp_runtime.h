@@ -10,8 +10,10 @@
 //     in-process to the owning shard's queue, remote ones over a lazily
 //     established TCP connection to the owning shard of the destination
 //     runtime (found through the shared AddressBook),
-//   * coalesces queued frames into one writev() per flush, resuming
-//     correctly after partial writes / EINTR / EAGAIN.
+//   * coalesces queued frames into one sendmsg() per flush, resuming
+//     correctly after partial writes / EINTR / EAGAIN,
+//   * tears a connection down on EOF or a hard socket error (a later send
+//     to that peer reconnects, or logs and drops if the peer is gone).
 //
 // Every actor is registered on exactly one shard and all of its callbacks
 // (messages and timers) run on that shard's thread, preserving the
@@ -99,7 +101,8 @@ class TcpRuntime {
   };
 
   struct Connection {
-    int fd = -1;
+    int fd = -1;                    // -1 once closed; swept next loop cycle
+    uint16_t peer_port = 0;         // outgoing: the target port; 0 if accepted
     std::string inbox;              // partially read frames
     std::deque<OutFrame> outbox;    // queued frames, oldest first
     size_t front_written = 0;       // bytes of outbox.front() already on the wire
@@ -227,7 +230,7 @@ class TcpRuntime {
     uint16_t port = 0;
 
     std::vector<std::unique_ptr<Connection>> conns;   // accepted + outgoing
-    std::unordered_map<uint16_t, int> port_to_conn;   // outgoing by port
+    std::unordered_map<uint16_t, Connection*> port_to_conn;  // open outgoing, by port
     // Address routes resolved from the shared AddressBook, cached here so
     // the steady-state send path never takes the book's global mutex.
     // Safe because bindings are made before Start() and never change.
@@ -266,8 +269,10 @@ class TcpRuntime {
 
   void Loop(Shard* shard);
   void AcceptNew(Shard* shard);
-  void ReadFrom(Shard* shard, size_t conn_index);
-  void ParseFrames(Shard* shard, Connection* conn);
+  void ReadFrom(Shard* shard, Connection* conn);
+  // Delivers every complete frame in the inbox; false if the stream is
+  // corrupt (an oversized length word) and the connection must close.
+  bool ParseFrames(Shard* shard, Connection* conn);
   // `payload` aliases the connection's inbox; same-shard actors receive the
   // view directly (zero copy), cross-shard bounces copy it into an owned
   // buffer before posting.
@@ -277,7 +282,17 @@ class TcpRuntime {
   // Flushes every connection with queued frames (one writev each); called
   // once per loop iteration so frames generated in a cycle coalesce.
   void FlushAll(Shard* shard);
-  int ConnectionTo(Shard* shard, uint16_t target_port);
+  // The open outgoing connection to `target_port`, connecting if needed;
+  // null if the connect fails.
+  Connection* ConnectionTo(Shard* shard, uint16_t target_port);
+  // Closes the socket, drops its unsent frames and forgets its port, so the
+  // next send to that peer reconnects. The Connection object stays in
+  // `conns` (with fd -1) until the top of the next loop cycle: callers up
+  // the stack may still hold it, and a parse pass may still be reading its
+  // inbox.
+  void CloseConnection(Shard* shard, Connection* conn);
+  // Re-sums the shard's unsent bytes into the cross-thread gauge mirror.
+  void RecountOutbox(Shard* shard);
   void Wakeup(Shard* shard);
   void RunTimers(Shard* shard);
   void DrainPosted(Shard* shard);

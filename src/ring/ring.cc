@@ -34,6 +34,22 @@ Ring::Ring(std::vector<NodeId> nodes, uint32_t vnodes_per_node, uint32_t replica
     }
   }
   std::sort(points_.begin(), points_.end());
+
+  // The chain of each segment: the first R distinct nodes clockwise from
+  // its point.
+  segment_chains_.reserve(points_.size());
+  for (size_t idx = 0; idx < points_.size(); ++idx) {
+    std::vector<NodeId> chain;
+    chain.reserve(replication_);
+    for (size_t steps = 0; steps < points_.size() && chain.size() < replication_; ++steps) {
+      const NodeId candidate = points_[(idx + steps) % points_.size()].node;
+      if (std::find(chain.begin(), chain.end(), candidate) == chain.end()) {
+        chain.push_back(candidate);
+      }
+    }
+    CHAINRX_CHECK(chain.size() == replication_);
+    segment_chains_.push_back(std::move(chain));
+  }
 }
 
 uint32_t Ring::WeightOf(NodeId node) const {
@@ -45,9 +61,8 @@ uint32_t Ring::WeightOf(NodeId node) const {
   return 0;
 }
 
-std::vector<NodeId> Ring::ComputeChain(const Key& key) const {
-  std::vector<NodeId> chain;
-  chain.reserve(replication_);
+const std::vector<NodeId>& Ring::ChainFor(const Key& key) const {
+  CHAINRX_CHECK(!points_.empty());
   // FNV-1a alone under-avalanches its high bits for keys that differ only
   // in trailing characters (e.g. sequential YCSB record keys), which would
   // collapse consecutive keys onto one chain; the 64-bit finalizer fixes
@@ -55,24 +70,10 @@ std::vector<NodeId> Ring::ComputeChain(const Key& key) const {
   const uint64_t h = Mix64(Fnv1a64(key));
   // First vnode with hash >= h, wrapping.
   auto it = std::lower_bound(points_.begin(), points_.end(), Point{h, 0});
-  size_t idx = static_cast<size_t>(it - points_.begin());
-  for (size_t steps = 0; steps < points_.size() && chain.size() < replication_; ++steps) {
-    const NodeId candidate = points_[(idx + steps) % points_.size()].node;
-    if (std::find(chain.begin(), chain.end(), candidate) == chain.end()) {
-      chain.push_back(candidate);
-    }
+  if (it == points_.end()) {
+    it = points_.begin();
   }
-  CHAINRX_CHECK(chain.size() == replication_);
-  return chain;
-}
-
-const std::vector<NodeId>& Ring::ChainFor(const Key& key) const {
-  auto it = chain_cache_.find(key);
-  if (it != chain_cache_.end()) {
-    return it->second;
-  }
-  auto [inserted, _] = chain_cache_.emplace(key, ComputeChain(key));
-  return inserted->second;
+  return segment_chains_[static_cast<size_t>(it - points_.begin())];
 }
 
 ChainIndex Ring::PositionOf(const Key& key, NodeId node) const {
@@ -107,23 +108,6 @@ NodeId Ring::PredecessorFor(const Key& key, NodeId node) const {
 
 bool Ring::Contains(NodeId node) const {
   return std::find(nodes_.begin(), nodes_.end(), node) != nodes_.end();
-}
-
-std::vector<std::vector<NodeId>> Ring::SegmentChains() const {
-  std::vector<std::vector<NodeId>> out;
-  out.reserve(points_.size());
-  for (size_t idx = 0; idx < points_.size(); ++idx) {
-    std::vector<NodeId> chain;
-    chain.reserve(replication_);
-    for (size_t steps = 0; steps < points_.size() && chain.size() < replication_; ++steps) {
-      const NodeId candidate = points_[(idx + steps) % points_.size()].node;
-      if (std::find(chain.begin(), chain.end(), candidate) == chain.end()) {
-        chain.push_back(candidate);
-      }
-    }
-    out.push_back(std::move(chain));
-  }
-  return out;
 }
 
 }  // namespace chainreaction

@@ -5,10 +5,15 @@
 // clockwise from the key's hash; the first is the chain head, the last the
 // tail. All sides (clients, nodes, membership service) compute chains
 // locally from the same membership list, so no directory service is needed.
+//
+// A chain depends only on the ring segment a key hashes into, so the ring
+// precomputes one chain per point at construction and a lookup is a hash,
+// a binary search over the points and a table row: memory is O(points * R)
+// however many keys are looked up, and a Ring is immutable (safe to share
+// across threads) once built.
 #ifndef SRC_RING_RING_H_
 #define SRC_RING_RING_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -44,10 +49,11 @@ class Ring {
 
   bool Contains(NodeId node) const;
 
-  // One replication chain per ring segment (the arc owned by each vnode
-  // point), head first, in ring order. Telemetry/status only — O(points*R),
-  // not for the request path.
-  std::vector<std::vector<NodeId>> SegmentChains() const;
+  // One replication chain per ring segment (the arc ending at each vnode
+  // point), head first, in ring order. Row i serves every key whose hash
+  // lies in (points[i-1], points[i]]; row 0 also takes the wrap-around arc
+  // past the last point.
+  const std::vector<std::vector<NodeId>>& SegmentChains() const { return segment_chains_; }
 
   const std::vector<NodeId>& nodes() const { return nodes_; }
   // Per-node vnode counts, parallel to nodes() (filled with the default
@@ -68,18 +74,12 @@ class Ring {
     }
   };
 
-  std::vector<NodeId> ComputeChain(const Key& key) const;
-
   std::vector<NodeId> nodes_;
   std::vector<uint32_t> weights_;  // parallel to nodes_
   std::vector<Point> points_;  // sorted
   uint32_t replication_ = 1;
   uint64_t epoch_ = 0;
-
-  // Chain lookups are on the hot path of every simulated op; memoize per
-  // key. The Ring is immutable after construction, so entries never go
-  // stale. Not thread-safe: each actor owns its Ring copy.
-  mutable std::unordered_map<Key, std::vector<NodeId>> chain_cache_;
+  std::vector<std::vector<NodeId>> segment_chains_;  // parallel to points_
 };
 
 }  // namespace chainreaction

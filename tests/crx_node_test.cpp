@@ -284,6 +284,70 @@ TEST(CrxProtocol, RetriedPutIsDeduplicated) {
   EXPECT_EQ(cluster.crx_node(0, idx)->store().VersionCount("dup-key"), 1u);
 }
 
+TEST(CrxProtocol, RetryDedupWindowHoldsCapPuts) {
+  // The head remembers the last kCompletedReqCap versioned requests: a
+  // retry behind cap - 1 newer puts at the same head still gets the
+  // original version, one behind cap newer puts is versioned as a new put.
+  ClusterOptions opts = SmallCrx(8, 1);
+  Cluster cluster(opts);
+
+  const Address client = kClientAddressBase + 999;
+  class RawClient : public Actor {
+   public:
+    void OnMessage(Address, std::string_view payload) override {
+      CrxPutAck ack;
+      if (DecodeMessage(payload, &ack) && ack.req == 1) {
+        dup_acks.push_back(ack.version);
+      }
+    }
+    std::vector<Version> dup_acks;
+  } raw;
+  Env* env = cluster.net()->Register(client, &raw, 0);
+
+  const Ring& ring = cluster.membership(0)->ring();
+  const NodeId head = ring.HeadFor("dup-key");
+  // Other keys with the same head, so every newer put lands in its window.
+  std::vector<Key> fillers;
+  for (int i = 0; fillers.size() < 16; ++i) {
+    Key key = "fill-" + std::to_string(i);
+    if (ring.HeadFor(key) == head) {
+      fillers.push_back(std::move(key));
+    }
+  }
+  const auto send_put = [&](RequestId req, const Key& key) {
+    CrxPut put;
+    put.req = req;
+    put.client = client;
+    put.key = key;
+    put.value = "v";
+    env->Send(head, EncodeMessage(put));
+  };
+  constexpr size_t kCap = ChainReactionNode::kCompletedReqCap;
+
+  send_put(1, "dup-key");
+  cluster.sim()->Run();
+  ASSERT_EQ(raw.dup_acks.size(), 1u);
+  const Version original = raw.dup_acks[0];
+
+  RequestId next_req = 2;
+  for (size_t i = 0; i + 1 < kCap; ++i, ++next_req) {
+    send_put(next_req, fillers[next_req % fillers.size()]);
+  }
+  cluster.sim()->Run();
+  send_put(1, "dup-key");  // retry behind kCap - 1 newer puts
+  cluster.sim()->Run();
+  ASSERT_EQ(raw.dup_acks.size(), 2u);
+  EXPECT_TRUE(raw.dup_acks[1] == original) << "retry inside the window got a new version";
+
+  send_put(next_req, fillers[next_req % fillers.size()]);  // the kCap-th newer put
+  cluster.sim()->Run();
+  send_put(1, "dup-key");  // the original has left the window
+  cluster.sim()->Run();
+  ASSERT_EQ(raw.dup_acks.size(), 3u);
+  EXPECT_FALSE(raw.dup_acks[2] == original) << "retry past the window was deduplicated";
+  EXPECT_GT(raw.dup_acks[2].lamport, original.lamport);
+}
+
 TEST(CrxProtocol, UnsafeReadPolicyCaughtByChecker) {
   ClusterOptions opts = SmallCrx(8, 8);
   opts.read_policy = ReadPolicy::kAnyNodeUnsafe;

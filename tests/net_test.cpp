@@ -2,12 +2,14 @@
 // simulator are deployed across several TcpRuntimes (one per modeled
 // process) on loopback sockets, and must behave identically.
 #include <gtest/gtest.h>
+#include <time.h>
 
-#include <memory>
-#include <vector>
-
+#include <atomic>
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "src/core/chainreaction_client.h"
 #include "src/core/chainreaction_node.h"
@@ -202,6 +204,101 @@ TEST(TcpTransport, FrameIntegrityAcrossRuntimes) {
   EXPECT_GT(final_totals.first, 0u);
   EXPECT_EQ(final_totals.first, final_totals.second)
       << "frames sent and received must balance at quiescence";
+}
+
+// Counts the frames delivered to it (from any loop thread).
+class CountingActor : public Actor {
+ public:
+  void OnMessage(Address, std::string_view) override { received.fetch_add(1); }
+  std::atomic<int> received{0};
+};
+
+int64_t ProcessCpuMicros() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
+}
+
+// Polls `cond` for up to 5 s.
+bool WaitFor(const std::function<bool()>& cond) {
+  for (int i = 0; i < 500 && !cond(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return cond();
+}
+
+// When a peer runtime goes away, the survivor must drop both of its sockets
+// to it (the one it dialed and the one the peer dialed in on). A socket at
+// EOF stays readable, so one left in the poll set turns the idle loop into
+// a busy spin. Later sends to the gone peer must fail quietly.
+TEST(TcpPeerClose, IdleSurvivorDoesNotSpin) {
+  CountingActor a, b;
+  AddressBook book;
+  TcpRuntime survivor(&book);
+  Env* env_a = survivor.Register(1, &a);
+  auto peer = std::make_unique<TcpRuntime>(&book);
+  Env* env_b = peer->Register(2, &b);
+  survivor.Start();
+  peer->Start();
+  survivor.PostTo(1, [env_a] { env_a->Send(2, "ping"); });
+  peer->PostTo(2, [env_b] { env_b->Send(1, "pong"); });
+  ASSERT_TRUE(WaitFor([&] { return a.received.load() == 1 && b.received.load() == 1; }));
+
+  peer.reset();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // EOFs arrive
+  const int64_t cpu_before = ProcessCpuMicros();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const int64_t cpu_used = ProcessCpuMicros() - cpu_before;
+  // An idle loop wakes at most every 50 ms; a spinning one burns the whole
+  // 500 ms.
+  EXPECT_LT(cpu_used, 100000) << "survivor loop polls a closed socket";
+
+  for (int i = 0; i < 5; ++i) {
+    survivor.PostTo(1, [env_a] { env_a->Send(2, "after-close"); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The survivor's loop still runs: a local frame gets through.
+  survivor.PostTo(1, [env_a] { env_a->Send(1, "self"); });
+  EXPECT_TRUE(WaitFor([&] { return a.received.load() == 2; }));
+  survivor.Stop();
+}
+
+// Writes that reach a socket whose peer has gone: the first provokes the
+// peer's RST, the next fails with EPIPE, which raises SIGPIPE (and ends the
+// process) unless the send passes MSG_NOSIGNAL. Per-frame flushing
+// (coalesced_io = false) writes inside Send, and the survivor's loop is held
+// in one callback throughout, so the writes land before the loop can see
+// the EOF and close the socket itself.
+TEST(TcpPeerClose, WritesToClosedPeerDoNotRaiseSigpipe) {
+  CountingActor a, b;
+  AddressBook book;
+  TcpRuntime survivor(&book, /*loop_threads=*/1, /*coalesced_io=*/false);
+  Env* env_a = survivor.Register(1, &a);
+  auto peer = std::make_unique<TcpRuntime>(&book);
+  peer->Register(2, &b);
+  survivor.Start();
+  peer->Start();
+  survivor.PostTo(1, [env_a] { env_a->Send(2, "ping"); });
+  ASSERT_TRUE(WaitFor([&] { return b.received.load() == 1; }));
+
+  std::atomic<bool> peer_gone{false};
+  std::atomic<bool> sends_done{false};
+  survivor.PostTo(1, [&] {
+    while (!peer_gone.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (int i = 0; i < 4; ++i) {
+      env_a->Send(2, "after-close");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));  // RST lands
+    }
+    sends_done.store(true);
+  });
+  peer.reset();
+  peer_gone.store(true);
+  ASSERT_TRUE(WaitFor([&] { return sends_done.load(); }));
+  survivor.PostTo(1, [env_a] { env_a->Send(1, "self"); });
+  EXPECT_TRUE(WaitFor([&] { return a.received.load() == 1; }));
+  survivor.Stop();
 }
 
 // Ring-segment shard assignment: every loop hosts at least one node, shard
