@@ -3,8 +3,10 @@
 // Every wire message in the system (simulated network and real TCP transport
 // alike) is encoded through ByteWriter and decoded through ByteReader, so the
 // exact same code path is exercised in deterministic simulation and on real
-// sockets. Integers are little-endian fixed width; strings and blobs are
-// length-prefixed with a u32.
+// sockets. Wire messages use the varint forms (LEB128 integers, zig-zag
+// signed integers, varint-length-prefixed strings; src/msg/message.h).
+// Storage records (WAL, checkpoint, value log) also use the fixed-width
+// forms: little-endian integers and u32-length-prefixed strings.
 #ifndef SRC_COMMON_BYTES_H_
 #define SRC_COMMON_BYTES_H_
 
@@ -41,18 +43,8 @@ inline int64_t ZigZagDecode(uint64_t v) {
 
 inline size_t VarI64Size(int64_t v) { return VarU64Size(ZigZagEncode(v)); }
 
-// Exact wire size of a varint-length-prefixed string (wire format v2).
+// Exact wire size of a varint-length-prefixed string.
 inline size_t VarStringSize(std::string_view s) { return VarU64Size(s.size()) + s.size(); }
-
-// Wire framing generation. v1 is the seed format: fixed-width integers and
-// u32 string length prefixes. v2 varint-encodes the hot-path Crx messages
-// (and zig-zags signed fields) and is flagged on the frame's type tag, so a
-// decoder always knows which body layout follows. Defined here (not in
-// src/msg/) so CrxConfig can carry the knob without a layering cycle.
-enum class WireFormat : uint8_t {
-  kV1 = 0,
-  kV2 = 1,
-};
 
 class ByteWriter {
  public:
@@ -75,7 +67,6 @@ class ByteWriter {
   void PutU16(uint16_t v) { PutFixed(&v, sizeof(v)); }
   void PutU32(uint32_t v) { PutFixed(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutFixed(&v, sizeof(v)); }
-  void PutI64(int64_t v) { PutFixed(&v, sizeof(v)); }
 
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
 
@@ -98,11 +89,11 @@ class ByteWriter {
     PutU8(static_cast<uint8_t>(v));
   }
 
-  // Zig-zag signed varint (wire format v2: trace hop timestamps).
+  // Zig-zag signed varint (trace hop timestamps).
   void PutVarI64(int64_t v) { PutVarU64(ZigZagEncode(v)); }
 
-  // Varint-length-prefixed string (wire format v2: short keys pay 1 prefix
-  // byte instead of 4).
+  // Varint-length-prefixed string (short keys pay 1 prefix byte instead
+  // of 4).
   void PutStringVar(const std::string& s) {
     PutVarU64(s.size());
     buf_.append(s);
@@ -144,7 +135,6 @@ class ByteReader {
   bool GetU16(uint16_t* v) { return GetFixed(v, sizeof(*v)); }
   bool GetU32(uint32_t* v) { return GetFixed(v, sizeof(*v)); }
   bool GetU64(uint64_t* v) { return GetFixed(v, sizeof(*v)); }
-  bool GetI64(int64_t* v) { return GetFixed(v, sizeof(*v)); }
 
   bool GetBool(bool* v) {
     uint8_t b = 0;
@@ -161,19 +151,6 @@ class ByteReader {
       return false;
     }
     s->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  // Zero-copy variant: the view aliases the reader's underlying buffer and
-  // is only valid while that buffer is alive and unmodified. Callers copy
-  // on apply (e.g. when a value is actually installed in a store).
-  bool GetStringView(std::string_view* s) {
-    uint32_t n = 0;
-    if (!GetU32(&n) || n > remaining()) {
-      return false;
-    }
-    *s = std::string_view(data_ + pos_, n);
     pos_ += n;
     return true;
   }
@@ -197,6 +174,9 @@ class ByteReader {
     return true;
   }
 
+  // Zero-copy variant: the view aliases the reader's underlying buffer and
+  // is only valid while that buffer is alive and unmodified. Callers copy
+  // on apply (e.g. when a value is actually installed in a store).
   bool GetStringViewVar(std::string_view* s) {
     uint64_t n = 0;
     if (!GetVarU64(&n) || n > remaining()) {

@@ -92,12 +92,13 @@ struct Version {
     return lamport == other.lamport && origin == other.origin && vv == other.vv;
   }
 
+  // Storage-record encoding (WAL, checkpoint, value log): fixed u16 origin.
   void Encode(ByteWriter* w) const;
   bool Decode(ByteReader* r);
   size_t EncodedSize() const { return vv.EncodedSize() + VarU64Size(lamport) + 2; }
 
-  // Wire format v2: the origin DC is a varint (1 byte for < 128 DCs)
-  // instead of a fixed u16. The vv and lamport were already varints.
+  // Wire encoding (every message, src/msg/message.h): the origin DC is a
+  // varint (1 byte for < 128 DCs). The vv and lamport are varints in both.
   void EncodeV2(ByteWriter* w) const;
   bool DecodeV2(ByteReader* r);
   size_t EncodedSizeV2() const {
@@ -120,11 +121,12 @@ struct Dependency {
   Version version;
   bool local_stable = false;
 
+  // Storage-record encoding (EncodeDeps): u32 key-length prefix.
   void Encode(ByteWriter* w) const;
   bool Decode(ByteReader* r);
   size_t EncodedSize() const { return 4 + key.size() + version.EncodedSize() + 1; }
 
-  // Wire format v2: varint key-length prefix + v2 version.
+  // Wire encoding: varint key-length prefix + wire-encoded version.
   void EncodeV2(ByteWriter* w) const;
   bool DecodeV2(ByteReader* r);
   size_t EncodedSizeV2() const {

@@ -71,11 +71,12 @@ void ChainReactionClient::LearnWatermark(uint64_t epoch, uint64_t wm) {
 }
 
 size_t ChainReactionClient::AccessedSetBytes() const {
-  // Pure arithmetic (Dependency::EncodedSize): this runs on every put when a
-  // metrics registry is attached, so it must not serialize anything.
+  // Pure arithmetic (Dependency::EncodedSizeV2 without building the
+  // Dependency): this runs on every put when a metrics registry is
+  // attached, so it must not serialize or copy keys.
   size_t bytes = 0;
   for (const auto& [key, entry] : accessed_) {
-    bytes += 4 + key.size() + entry.version.EncodedSize() + 1;
+    bytes += VarStringSize(key) + entry.version.EncodedSizeV2() + 1;
   }
   return bytes;
 }

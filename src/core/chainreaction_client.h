@@ -93,8 +93,9 @@ class ChainReactionClient : public Actor {
   // Introspection (E8 metadata experiment, tests) -------------------------
   size_t metadata_entries() const { return metadata_.size(); }
   size_t accessed_set_size() const { return accessed_.size(); }
-  // Approximate wire size of the dependency metadata the next put would
-  // carry (bytes).
+  // Wire bytes of the accessed set's dependency entries (the list's count
+  // prefix excluded); equals what the next put's deps add to its frame
+  // unless stable or watermark-covered entries are dropped.
   size_t AccessedSetBytes() const;
   uint64_t retries() const { return retries_; }
   Address address() const { return address_; }
@@ -187,7 +188,7 @@ class ChainReactionClient : public Actor {
   template <typename M>
   std::string Enc(const M& m) const {
     AllocPhaseScope phase(AllocPhase::kEncode);
-    return EncodeMessage(m, config_.wire_format);
+    return EncodeMessage(m);
   }
 
   Address address_;

@@ -313,13 +313,12 @@ class ChainReactionNode : public Actor {
 
   uint64_t NextLamport();
 
-  // Encodes a hot-path message in the configured wire format. Cold-path
-  // messages (membership, migration, geo, heartbeat) call EncodeMessage
-  // directly and stay v1.
+  // Encodes a hot-path message, charging its allocations to the encode
+  // phase.
   template <typename M>
   std::string Enc(const M& m) const {
     AllocPhaseScope phase(AllocPhase::kEncode);
-    return EncodeMessage(m, config_.wire_format);
+    return EncodeMessage(m);
   }
 
   // Watermark gossip (dep_watermark) -------------------------------------

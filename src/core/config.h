@@ -71,17 +71,9 @@ struct CrxConfig {
 
   ReadPolicy read_policy = ReadPolicy::kUniformPrefix;
 
-  // Wire format for hot-path Crx frames. kV2 (the default) varint-encodes
-  // bodies and flags the type tag; receivers decode both formats
-  // unconditionally, so mixed clusters are safe. kV1 is the legacy
-  // fixed-width format, kept as an honest baseline for bytes/op
-  // comparisons (bench_e8).
-  WireFormat wire_format = WireFormat::kV2;
-
-  // Watermark dependency compression (requires wire_format=kV2 to have any
-  // effect: the watermark gossip rides only in v2 frames). Nodes track the
-  // oldest non-DC-Write-Stable locally-minted version in their store and
-  // gossip per-node stable cuts; the cluster-wide minimum W guarantees
+  // Watermark dependency compression. Nodes track the oldest
+  // non-DC-Write-Stable locally-minted version in their store and gossip
+  // per-node stable cuts; the cluster-wide minimum W guarantees
   // every local-origin version with lamport <= W is DC-Write-Stable.
   // Clients drop (single-DC) or pre-mark local_stable (multi-DC) any
   // dependency covered by W, so the common-case put ships one scalar

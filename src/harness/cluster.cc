@@ -84,7 +84,6 @@ CrxConfig Cluster::MakeCrxConfig(DcId dc) const {
   cfg.fd_timeout = options_.fd_timeout;
   cfg.membership_rebroadcast_interval = options_.membership_rebroadcast_interval;
   cfg.read_policy = options_.read_policy;
-  cfg.wire_format = options_.wire_format;
   cfg.dep_watermark = options_.dep_watermark;
   cfg.wm_gossip_interval = options_.wm_gossip_interval;
   cfg.engine = options_.engine;

@@ -58,9 +58,6 @@ struct ClusterOptions {
   ServiceModel client_service{1, 0.0, 0};
 
   ReadPolicy read_policy = ReadPolicy::kUniformPrefix;
-  // Wire format for hot-path Crx frames (see CrxConfig::wire_format); kV1
-  // is the legacy fixed-width baseline for bytes/op comparisons.
-  WireFormat wire_format = WireFormat::kV2;
   // Stable-watermark dependency compression (see CrxConfig::dep_watermark).
   bool dep_watermark = false;
   Duration wm_gossip_interval = 5 * kMillisecond;

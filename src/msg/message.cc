@@ -8,1096 +8,7 @@ MsgType PeekType(std::string_view payload) {
   if (!r.GetU16(&type)) {
     return MsgType::kInvalid;
   }
-  return static_cast<MsgType>(type & ~kWireV2Flag);
+  return static_cast<MsgType>(type);
 }
-
-WireFormat PeekWireFormat(std::string_view payload) {
-  ByteReader r(payload.data(), payload.size());
-  uint16_t type = 0;
-  if (!r.GetU16(&type)) {
-    return WireFormat::kV1;
-  }
-  return (type & kWireV2Flag) != 0 ? WireFormat::kV2 : WireFormat::kV1;
-}
-
-// --------------------------- ChainReaction ---------------------------------
-
-void CrxPut::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutString(key);
-  w->PutString(value);
-  EncodeDeps(deps, w);
-  trace.Encode(w);
-}
-bool CrxPut::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetString(&key) && r->GetString(&value) &&
-         DecodeDeps(r, &deps) && trace.Decode(r);
-}
-size_t CrxPut::EncodedSize() const {
-  return 8 + 4 + 4 + key.size() + 4 + value.size() + EncodedDepsSize(deps) + trace.EncodedSize();
-}
-void CrxPut::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(req);
-  w->PutVarU64(client);
-  w->PutStringVar(key);
-  w->PutStringVar(value);
-  EncodeDepsV2(deps, w);
-  trace.EncodeV2(w);
-  w->PutVarU64(wm_epoch);
-  w->PutVarU64(dep_wm);
-}
-bool CrxPut::DecodeV2(ByteReader* r) {
-  uint64_t c = 0;
-  if (!(r->GetVarU64(&req) && r->GetVarU64(&c) && c <= UINT32_MAX && r->GetStringVar(&key) &&
-        r->GetStringVar(&value) && DecodeDepsV2(r, &deps) && trace.DecodeV2(r) &&
-        r->GetVarU64(&wm_epoch) && r->GetVarU64(&dep_wm))) {
-    return false;
-  }
-  client = static_cast<Address>(c);
-  return true;
-}
-size_t CrxPut::EncodedSizeV2() const {
-  return VarU64Size(req) + VarU64Size(client) + VarStringSize(key) + VarStringSize(value) +
-         EncodedDepsSizeV2(deps) + trace.EncodedSizeV2() + VarU64Size(wm_epoch) +
-         VarU64Size(dep_wm);
-}
-
-void CrxPutAck::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutString(key);
-  version.Encode(w);
-  w->PutU32(acked_at);
-  trace.Encode(w);
-}
-bool CrxPutAck::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetString(&key) && version.Decode(r) && r->GetU32(&acked_at) &&
-         trace.Decode(r);
-}
-size_t CrxPutAck::EncodedSize() const {
-  return 8 + 4 + key.size() + version.EncodedSize() + 4 + trace.EncodedSize();
-}
-void CrxPutAck::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(req);
-  w->PutStringVar(key);
-  version.EncodeV2(w);
-  w->PutVarU64(acked_at);
-  trace.EncodeV2(w);
-  w->PutVarU64(wm_epoch);
-  w->PutVarU64(stable_wm);
-}
-bool CrxPutAck::DecodeV2(ByteReader* r) {
-  uint64_t at = 0;
-  if (!(r->GetVarU64(&req) && r->GetStringVar(&key) && version.DecodeV2(r) && r->GetVarU64(&at) &&
-        at <= UINT32_MAX && trace.DecodeV2(r) && r->GetVarU64(&wm_epoch) &&
-        r->GetVarU64(&stable_wm))) {
-    return false;
-  }
-  acked_at = static_cast<ChainIndex>(at);
-  return true;
-}
-size_t CrxPutAck::EncodedSizeV2() const {
-  return VarU64Size(req) + VarStringSize(key) + version.EncodedSizeV2() + VarU64Size(acked_at) +
-         trace.EncodedSizeV2() + VarU64Size(wm_epoch) + VarU64Size(stable_wm);
-}
-
-void CrxPutAckBatch::Encode(ByteWriter* w) const {
-  w->PutVarU64(up_to_seq);
-  w->PutVarU64(acks.size());
-  for (const CrxPutAck& a : acks) {
-    a.Encode(w);
-  }
-}
-bool CrxPutAckBatch::Decode(ByteReader* r) {
-  uint64_t n = 0;
-  if (!r->GetVarU64(&up_to_seq) || !r->GetVarU64(&n) || n > (1u << 20)) {
-    return false;
-  }
-  acks.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!acks[i].Decode(r)) {
-      return false;
-    }
-  }
-  return true;
-}
-size_t CrxPutAckBatch::EncodedSize() const {
-  size_t n = VarU64Size(up_to_seq) + VarU64Size(acks.size());
-  for (const CrxPutAck& a : acks) {
-    n += a.EncodedSize();
-  }
-  return n;
-}
-void CrxPutAckBatch::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(up_to_seq);
-  w->PutVarU64(acks.size());
-  for (const CrxPutAck& a : acks) {
-    a.EncodeV2(w);
-  }
-}
-bool CrxPutAckBatch::DecodeV2(ByteReader* r) {
-  uint64_t n = 0;
-  if (!r->GetVarU64(&up_to_seq) || !r->GetVarU64(&n) || n > (1u << 20)) {
-    return false;
-  }
-  acks.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!acks[i].DecodeV2(r)) {
-      return false;
-    }
-  }
-  return true;
-}
-size_t CrxPutAckBatch::EncodedSizeV2() const {
-  size_t n = VarU64Size(up_to_seq) + VarU64Size(acks.size());
-  for (const CrxPutAck& a : acks) {
-    n += a.EncodedSizeV2();
-  }
-  return n;
-}
-
-void CrxGet::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutString(key);
-  min_version.Encode(w);
-  w->PutBool(with_deps);
-}
-bool CrxGet::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetString(&key) && min_version.Decode(r) &&
-         r->GetBool(&with_deps);
-}
-void CrxGet::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(req);
-  w->PutVarU64(client);
-  w->PutStringVar(key);
-  min_version.EncodeV2(w);
-  w->PutBool(with_deps);
-}
-bool CrxGet::DecodeV2(ByteReader* r) {
-  uint64_t c = 0;
-  if (!(r->GetVarU64(&req) && r->GetVarU64(&c) && c <= UINT32_MAX && r->GetStringVar(&key) &&
-        min_version.DecodeV2(r) && r->GetBool(&with_deps))) {
-    return false;
-  }
-  client = static_cast<Address>(c);
-  return true;
-}
-size_t CrxGet::EncodedSizeV2() const {
-  return VarU64Size(req) + VarU64Size(client) + VarStringSize(key) +
-         min_version.EncodedSizeV2() + 1;
-}
-
-void CrxGetReply::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutString(key);
-  w->PutBool(found);
-  w->PutString(value);
-  version.Encode(w);
-  w->PutU32(position);
-  w->PutBool(stable);
-  EncodeDeps(deps, w);
-}
-bool CrxGetReply::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetString(&key) && r->GetBool(&found) && r->GetString(&value) &&
-         version.Decode(r) && r->GetU32(&position) && r->GetBool(&stable) && DecodeDeps(r, &deps);
-}
-size_t CrxGetReply::EncodedSize() const {
-  return 8 + 4 + key.size() + 1 + 4 + value.size() + version.EncodedSize() + 4 + 1 +
-         EncodedDepsSize(deps);
-}
-void CrxGetReply::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(req);
-  w->PutStringVar(key);
-  w->PutBool(found);
-  w->PutStringVar(value);
-  version.EncodeV2(w);
-  w->PutVarU64(position);
-  w->PutBool(stable);
-  EncodeDepsV2(deps, w);
-  w->PutVarU64(wm_epoch);
-  w->PutVarU64(stable_wm);
-}
-bool CrxGetReply::DecodeV2(ByteReader* r) {
-  uint64_t pos = 0;
-  if (!(r->GetVarU64(&req) && r->GetStringVar(&key) && r->GetBool(&found) &&
-        r->GetStringVar(&value) && version.DecodeV2(r) && r->GetVarU64(&pos) &&
-        pos <= UINT32_MAX && r->GetBool(&stable) && DecodeDepsV2(r, &deps) &&
-        r->GetVarU64(&wm_epoch) && r->GetVarU64(&stable_wm))) {
-    return false;
-  }
-  position = static_cast<ChainIndex>(pos);
-  return true;
-}
-size_t CrxGetReply::EncodedSizeV2() const {
-  return VarU64Size(req) + VarStringSize(key) + 1 + VarStringSize(value) +
-         version.EncodedSizeV2() + VarU64Size(position) + 1 + EncodedDepsSizeV2(deps) +
-         VarU64Size(wm_epoch) + VarU64Size(stable_wm);
-}
-
-void CrxChainPut::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutString(value);
-  version.Encode(w);
-  w->PutU32(client);
-  w->PutU64(req);
-  w->PutU32(ack_at);
-  w->PutU64(epoch);
-  w->PutVarU64(chain_seq);
-  EncodeDeps(deps, w);
-  trace.Encode(w);
-}
-bool CrxChainPut::Decode(ByteReader* r) {
-  return r->GetString(&key) && r->GetString(&value) && version.Decode(r) && r->GetU32(&client) &&
-         r->GetU64(&req) && r->GetU32(&ack_at) && r->GetU64(&epoch) && r->GetVarU64(&chain_seq) &&
-         DecodeDeps(r, &deps) && trace.Decode(r);
-}
-size_t CrxChainPut::EncodedSize() const {
-  return 4 + key.size() + 4 + value.size() + version.EncodedSize() + 4 + 8 + 4 + 8 +
-         VarU64Size(chain_seq) + EncodedDepsSize(deps) + trace.EncodedSize();
-}
-void CrxChainPut::EncodeV2(ByteWriter* w) const {
-  w->PutStringVar(key);
-  w->PutStringVar(value);
-  version.EncodeV2(w);
-  w->PutVarU64(client);
-  w->PutVarU64(req);
-  w->PutVarU64(ack_at);
-  w->PutVarU64(epoch);
-  w->PutVarU64(chain_seq);
-  EncodeDepsV2(deps, w);
-  trace.EncodeV2(w);
-  w->PutVarU64(stable_cut);
-}
-bool CrxChainPut::DecodeV2(ByteReader* r) {
-  uint64_t c = 0, at = 0;
-  if (!(r->GetStringVar(&key) && r->GetStringVar(&value) && version.DecodeV2(r) &&
-        r->GetVarU64(&c) && c <= UINT32_MAX && r->GetVarU64(&req) && r->GetVarU64(&at) &&
-        at <= UINT32_MAX && r->GetVarU64(&epoch) && r->GetVarU64(&chain_seq) &&
-        DecodeDepsV2(r, &deps) && trace.DecodeV2(r) && r->GetVarU64(&stable_cut))) {
-    return false;
-  }
-  client = static_cast<Address>(c);
-  ack_at = static_cast<ChainIndex>(at);
-  return true;
-}
-size_t CrxChainPut::EncodedSizeV2() const {
-  return VarStringSize(key) + VarStringSize(value) + version.EncodedSizeV2() +
-         VarU64Size(client) + VarU64Size(req) + VarU64Size(ack_at) + VarU64Size(epoch) +
-         VarU64Size(chain_seq) + EncodedDepsSizeV2(deps) + trace.EncodedSizeV2() +
-         VarU64Size(stable_cut);
-}
-
-void CrxStableNotify::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  version.Encode(w);
-  w->PutU64(epoch);
-}
-bool CrxStableNotify::Decode(ByteReader* r) {
-  return r->GetString(&key) && version.Decode(r) && r->GetU64(&epoch);
-}
-void CrxStableNotify::EncodeV2(ByteWriter* w) const {
-  w->PutStringVar(key);
-  version.EncodeV2(w);
-  w->PutVarU64(epoch);
-  w->PutVarU64(stable_cut);
-}
-bool CrxStableNotify::DecodeV2(ByteReader* r) {
-  return r->GetStringVar(&key) && version.DecodeV2(r) && r->GetVarU64(&epoch) &&
-         r->GetVarU64(&stable_cut);
-}
-size_t CrxStableNotify::EncodedSizeV2() const {
-  return VarStringSize(key) + version.EncodedSizeV2() + VarU64Size(epoch) +
-         VarU64Size(stable_cut);
-}
-
-void CrxStabilityCheck::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  version.Encode(w);
-  w->PutU64(token);
-}
-bool CrxStabilityCheck::Decode(ByteReader* r) {
-  return r->GetString(&key) && version.Decode(r) && r->GetU64(&token);
-}
-void CrxStabilityCheck::EncodeV2(ByteWriter* w) const {
-  w->PutStringVar(key);
-  version.EncodeV2(w);
-  w->PutVarU64(token);
-}
-bool CrxStabilityCheck::DecodeV2(ByteReader* r) {
-  return r->GetStringVar(&key) && version.DecodeV2(r) && r->GetVarU64(&token);
-}
-size_t CrxStabilityCheck::EncodedSizeV2() const {
-  return VarStringSize(key) + version.EncodedSizeV2() + VarU64Size(token);
-}
-
-void CrxStabilityConfirm::Encode(ByteWriter* w) const {
-  w->PutU64(token);
-  w->PutString(key);
-}
-bool CrxStabilityConfirm::Decode(ByteReader* r) {
-  return r->GetU64(&token) && r->GetString(&key);
-}
-void CrxStabilityConfirm::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(token);
-  w->PutStringVar(key);
-}
-bool CrxStabilityConfirm::DecodeV2(ByteReader* r) {
-  return r->GetVarU64(&token) && r->GetStringVar(&key);
-}
-size_t CrxStabilityConfirm::EncodedSizeV2() const {
-  return VarU64Size(token) + VarStringSize(key);
-}
-
-void CrxWatermark::Encode(ByteWriter* w) const {
-  w->PutU32(node);
-  w->PutU64(epoch);
-  w->PutU64(cut);
-}
-bool CrxWatermark::Decode(ByteReader* r) {
-  return r->GetU32(&node) && r->GetU64(&epoch) && r->GetU64(&cut);
-}
-void CrxWatermark::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(node);
-  w->PutVarU64(epoch);
-  w->PutVarU64(cut);
-}
-bool CrxWatermark::DecodeV2(ByteReader* r) {
-  uint64_t n = 0;
-  if (!(r->GetVarU64(&n) && n <= UINT32_MAX && r->GetVarU64(&epoch) && r->GetVarU64(&cut))) {
-    return false;
-  }
-  node = static_cast<NodeId>(n);
-  return true;
-}
-size_t CrxWatermark::EncodedSizeV2() const {
-  return VarU64Size(node) + VarU64Size(epoch) + VarU64Size(cut);
-}
-
-// ------------------------- zero-copy view structs --------------------------
-// Each body mirrors its owned counterpart exactly (byte-for-byte parity is
-// asserted by msg_test): strings decode as aliasing views and encode from
-// views, everything else is identical.
-
-void CrxPutView::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutStringView(key);
-  w->PutStringView(value);
-  EncodeDeps(deps, w);
-  trace.Encode(w);
-}
-bool CrxPutView::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetStringView(&key) &&
-         r->GetStringView(&value) && DecodeDeps(r, &deps) && trace.Decode(r);
-}
-size_t CrxPutView::EncodedSize() const {
-  return 8 + 4 + 4 + key.size() + 4 + value.size() + EncodedDepsSize(deps) + trace.EncodedSize();
-}
-void CrxPutView::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(req);
-  w->PutVarU64(client);
-  w->PutStringViewVar(key);
-  w->PutStringViewVar(value);
-  EncodeDepsV2(deps, w);
-  trace.EncodeV2(w);
-  w->PutVarU64(wm_epoch);
-  w->PutVarU64(dep_wm);
-}
-bool CrxPutView::DecodeV2(ByteReader* r) {
-  uint64_t c = 0;
-  if (!(r->GetVarU64(&req) && r->GetVarU64(&c) && c <= UINT32_MAX && r->GetStringViewVar(&key) &&
-        r->GetStringViewVar(&value) && DecodeDepsV2(r, &deps) && trace.DecodeV2(r) &&
-        r->GetVarU64(&wm_epoch) && r->GetVarU64(&dep_wm))) {
-    return false;
-  }
-  client = static_cast<Address>(c);
-  return true;
-}
-size_t CrxPutView::EncodedSizeV2() const {
-  return VarU64Size(req) + VarU64Size(client) + VarStringSize(key) + VarStringSize(value) +
-         EncodedDepsSizeV2(deps) + trace.EncodedSizeV2() + VarU64Size(wm_epoch) +
-         VarU64Size(dep_wm);
-}
-CrxPut CrxPutView::ToOwned() const {
-  CrxPut m;
-  m.req = req;
-  m.client = client;
-  m.key = Key(key);
-  m.value = Value(value);
-  m.deps.assign(deps.begin(), deps.end());
-  m.trace = trace;
-  m.wm_epoch = wm_epoch;
-  m.dep_wm = dep_wm;
-  return m;
-}
-CrxPutView CrxPutView::From(const CrxPut& m) {
-  CrxPutView v;
-  v.req = m.req;
-  v.client = m.client;
-  v.key = m.key;
-  v.value = m.value;
-  v.deps.assign(m.deps.begin(), m.deps.end());
-  v.trace = m.trace;
-  v.wm_epoch = m.wm_epoch;
-  v.dep_wm = m.dep_wm;
-  return v;
-}
-
-void CrxChainPutView::Encode(ByteWriter* w) const {
-  w->PutStringView(key);
-  w->PutStringView(value);
-  version.Encode(w);
-  w->PutU32(client);
-  w->PutU64(req);
-  w->PutU32(ack_at);
-  w->PutU64(epoch);
-  w->PutVarU64(chain_seq);
-  EncodeDeps(deps, w);
-  trace.Encode(w);
-}
-bool CrxChainPutView::Decode(ByteReader* r) {
-  return r->GetStringView(&key) && r->GetStringView(&value) && version.Decode(r) &&
-         r->GetU32(&client) && r->GetU64(&req) && r->GetU32(&ack_at) && r->GetU64(&epoch) &&
-         r->GetVarU64(&chain_seq) && DecodeDeps(r, &deps) && trace.Decode(r);
-}
-size_t CrxChainPutView::EncodedSize() const {
-  return 4 + key.size() + 4 + value.size() + version.EncodedSize() + 4 + 8 + 4 + 8 +
-         VarU64Size(chain_seq) + EncodedDepsSize(deps) + trace.EncodedSize();
-}
-void CrxChainPutView::EncodeV2(ByteWriter* w) const {
-  w->PutStringViewVar(key);
-  w->PutStringViewVar(value);
-  version.EncodeV2(w);
-  w->PutVarU64(client);
-  w->PutVarU64(req);
-  w->PutVarU64(ack_at);
-  w->PutVarU64(epoch);
-  w->PutVarU64(chain_seq);
-  EncodeDepsV2(deps, w);
-  trace.EncodeV2(w);
-  w->PutVarU64(stable_cut);
-}
-bool CrxChainPutView::DecodeV2(ByteReader* r) {
-  uint64_t c = 0, at = 0;
-  if (!(r->GetStringViewVar(&key) && r->GetStringViewVar(&value) && version.DecodeV2(r) &&
-        r->GetVarU64(&c) && c <= UINT32_MAX && r->GetVarU64(&req) && r->GetVarU64(&at) &&
-        at <= UINT32_MAX && r->GetVarU64(&epoch) && r->GetVarU64(&chain_seq) &&
-        DecodeDepsV2(r, &deps) && trace.DecodeV2(r) && r->GetVarU64(&stable_cut))) {
-    return false;
-  }
-  client = static_cast<Address>(c);
-  ack_at = static_cast<ChainIndex>(at);
-  return true;
-}
-size_t CrxChainPutView::EncodedSizeV2() const {
-  return VarStringSize(key) + VarStringSize(value) + version.EncodedSizeV2() +
-         VarU64Size(client) + VarU64Size(req) + VarU64Size(ack_at) + VarU64Size(epoch) +
-         VarU64Size(chain_seq) + EncodedDepsSizeV2(deps) + trace.EncodedSizeV2() +
-         VarU64Size(stable_cut);
-}
-CrxChainPut CrxChainPutView::ToOwned() const {
-  CrxChainPut m;
-  m.key = Key(key);
-  m.value = Value(value);
-  m.version = version;
-  m.client = client;
-  m.req = req;
-  m.ack_at = ack_at;
-  m.epoch = epoch;
-  m.chain_seq = chain_seq;
-  m.deps.assign(deps.begin(), deps.end());
-  m.trace = trace;
-  m.stable_cut = stable_cut;
-  return m;
-}
-CrxChainPutView CrxChainPutView::From(const CrxChainPut& m) {
-  CrxChainPutView v;
-  v.key = m.key;
-  v.value = m.value;
-  v.version = m.version;
-  v.client = m.client;
-  v.req = m.req;
-  v.ack_at = m.ack_at;
-  v.epoch = m.epoch;
-  v.chain_seq = m.chain_seq;
-  v.deps.assign(m.deps.begin(), m.deps.end());
-  v.trace = m.trace;
-  v.stable_cut = m.stable_cut;
-  return v;
-}
-
-void CrxGetView::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutStringView(key);
-  min_version.Encode(w);
-  w->PutBool(with_deps);
-}
-bool CrxGetView::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetStringView(&key) &&
-         min_version.Decode(r) && r->GetBool(&with_deps);
-}
-void CrxGetView::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(req);
-  w->PutVarU64(client);
-  w->PutStringViewVar(key);
-  min_version.EncodeV2(w);
-  w->PutBool(with_deps);
-}
-bool CrxGetView::DecodeV2(ByteReader* r) {
-  uint64_t c = 0;
-  if (!(r->GetVarU64(&req) && r->GetVarU64(&c) && c <= UINT32_MAX && r->GetStringViewVar(&key) &&
-        min_version.DecodeV2(r) && r->GetBool(&with_deps))) {
-    return false;
-  }
-  client = static_cast<Address>(c);
-  return true;
-}
-size_t CrxGetView::EncodedSizeV2() const {
-  return VarU64Size(req) + VarU64Size(client) + VarStringSize(key) +
-         min_version.EncodedSizeV2() + 1;
-}
-size_t CrxGetView::EncodedSize() const {
-  return 8 + 4 + 4 + key.size() + min_version.EncodedSize() + 1;
-}
-CrxGet CrxGetView::ToOwned() const {
-  CrxGet m;
-  m.req = req;
-  m.client = client;
-  m.key = Key(key);
-  m.min_version = min_version;
-  m.with_deps = with_deps;
-  return m;
-}
-CrxGetView CrxGetView::From(const CrxGet& m) {
-  CrxGetView v;
-  v.req = m.req;
-  v.client = m.client;
-  v.key = m.key;
-  v.min_version = m.min_version;
-  v.with_deps = m.with_deps;
-  return v;
-}
-
-void CrxGetReplyView::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutStringView(key);
-  w->PutBool(found);
-  w->PutStringView(value);
-  version.Encode(w);
-  w->PutU32(position);
-  w->PutBool(stable);
-  EncodeDeps(deps, w);
-}
-bool CrxGetReplyView::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetStringView(&key) && r->GetBool(&found) &&
-         r->GetStringView(&value) && version.Decode(r) && r->GetU32(&position) &&
-         r->GetBool(&stable) && DecodeDeps(r, &deps);
-}
-size_t CrxGetReplyView::EncodedSize() const {
-  return 8 + 4 + key.size() + 1 + 4 + value.size() + version.EncodedSize() + 4 + 1 +
-         EncodedDepsSize(deps);
-}
-void CrxGetReplyView::EncodeV2(ByteWriter* w) const {
-  w->PutVarU64(req);
-  w->PutStringViewVar(key);
-  w->PutBool(found);
-  w->PutStringViewVar(value);
-  version.EncodeV2(w);
-  w->PutVarU64(position);
-  w->PutBool(stable);
-  EncodeDepsV2(deps, w);
-  w->PutVarU64(wm_epoch);
-  w->PutVarU64(stable_wm);
-}
-bool CrxGetReplyView::DecodeV2(ByteReader* r) {
-  uint64_t pos = 0;
-  if (!(r->GetVarU64(&req) && r->GetStringViewVar(&key) && r->GetBool(&found) &&
-        r->GetStringViewVar(&value) && version.DecodeV2(r) && r->GetVarU64(&pos) &&
-        pos <= UINT32_MAX && r->GetBool(&stable) && DecodeDepsV2(r, &deps) &&
-        r->GetVarU64(&wm_epoch) && r->GetVarU64(&stable_wm))) {
-    return false;
-  }
-  position = static_cast<ChainIndex>(pos);
-  return true;
-}
-size_t CrxGetReplyView::EncodedSizeV2() const {
-  return VarU64Size(req) + VarStringSize(key) + 1 + VarStringSize(value) +
-         version.EncodedSizeV2() + VarU64Size(position) + 1 + EncodedDepsSizeV2(deps) +
-         VarU64Size(wm_epoch) + VarU64Size(stable_wm);
-}
-
-// ------------------------ classic chain replication ------------------------
-
-void CrPut::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutString(key);
-  w->PutString(value);
-}
-bool CrPut::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetString(&key) && r->GetString(&value);
-}
-
-void CrChainPut::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutString(value);
-  w->PutU64(seq);
-  w->PutU32(client);
-  w->PutU64(req);
-}
-bool CrChainPut::Decode(ByteReader* r) {
-  return r->GetString(&key) && r->GetString(&value) && r->GetU64(&seq) && r->GetU32(&client) &&
-         r->GetU64(&req);
-}
-
-void CrPutAck::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutString(key);
-  w->PutU64(seq);
-}
-bool CrPutAck::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetString(&key) && r->GetU64(&seq);
-}
-
-void CrChainAck::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutU64(seq);
-  w->PutU32(client);
-  w->PutU64(req);
-}
-bool CrChainAck::Decode(ByteReader* r) {
-  return r->GetString(&key) && r->GetU64(&seq) && r->GetU32(&client) && r->GetU64(&req);
-}
-
-void CrGet::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutString(key);
-}
-bool CrGet::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetString(&key);
-}
-
-void CrGetReply::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutString(key);
-  w->PutBool(found);
-  w->PutString(value);
-  w->PutU64(seq);
-}
-bool CrGetReply::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetString(&key) && r->GetBool(&found) && r->GetString(&value) &&
-         r->GetU64(&seq);
-}
-
-// --------------------------------- CRAQ ------------------------------------
-
-void CraqPut::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutString(key);
-  w->PutString(value);
-}
-bool CraqPut::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetString(&key) && r->GetString(&value);
-}
-
-void CraqChainPut::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutString(value);
-  w->PutU64(seq);
-  w->PutU32(client);
-  w->PutU64(req);
-}
-bool CraqChainPut::Decode(ByteReader* r) {
-  return r->GetString(&key) && r->GetString(&value) && r->GetU64(&seq) && r->GetU32(&client) &&
-         r->GetU64(&req);
-}
-
-void CraqCommit::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutU64(seq);
-}
-bool CraqCommit::Decode(ByteReader* r) { return r->GetString(&key) && r->GetU64(&seq); }
-
-void CraqPutAck::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutString(key);
-  w->PutU64(seq);
-}
-bool CraqPutAck::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetString(&key) && r->GetU64(&seq);
-}
-
-void CraqGet::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutString(key);
-}
-bool CraqGet::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetString(&key);
-}
-
-void CraqGetReply::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutString(key);
-  w->PutBool(found);
-  w->PutString(value);
-  w->PutU64(seq);
-}
-bool CraqGetReply::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetString(&key) && r->GetBool(&found) && r->GetString(&value) &&
-         r->GetU64(&seq);
-}
-
-void CraqVersionQuery::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutU64(req);
-  w->PutU32(client);
-}
-bool CraqVersionQuery::Decode(ByteReader* r) {
-  return r->GetString(&key) && r->GetU64(&req) && r->GetU32(&client);
-}
-
-void CraqVersionReply::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutU64(committed_seq);
-  w->PutU64(req);
-  w->PutU32(client);
-}
-bool CraqVersionReply::Decode(ByteReader* r) {
-  return r->GetString(&key) && r->GetU64(&committed_seq) && r->GetU64(&req) && r->GetU32(&client);
-}
-
-// ------------------------- eventual / quorum --------------------------------
-
-void EvPut::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutString(key);
-  w->PutString(value);
-}
-bool EvPut::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetString(&key) && r->GetString(&value);
-}
-
-void EvReplicate::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutString(value);
-  version.Encode(w);
-  w->PutU64(token);
-}
-bool EvReplicate::Decode(ByteReader* r) {
-  return r->GetString(&key) && r->GetString(&value) && version.Decode(r) && r->GetU64(&token);
-}
-
-void EvReplicateAck::Encode(ByteWriter* w) const { w->PutU64(token); }
-bool EvReplicateAck::Decode(ByteReader* r) { return r->GetU64(&token); }
-
-void EvPutAck::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutString(key);
-  version.Encode(w);
-}
-bool EvPutAck::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetString(&key) && version.Decode(r);
-}
-
-void EvGet::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutU32(client);
-  w->PutString(key);
-}
-bool EvGet::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetU32(&client) && r->GetString(&key);
-}
-
-void EvGetReply::Encode(ByteWriter* w) const {
-  w->PutU64(req);
-  w->PutString(key);
-  w->PutBool(found);
-  w->PutString(value);
-  version.Encode(w);
-}
-bool EvGetReply::Decode(ByteReader* r) {
-  return r->GetU64(&req) && r->GetString(&key) && r->GetBool(&found) && r->GetString(&value) &&
-         version.Decode(r);
-}
-
-void EvReadQuery::Encode(ByteWriter* w) const {
-  w->PutU64(token);
-  w->PutString(key);
-}
-bool EvReadQuery::Decode(ByteReader* r) { return r->GetU64(&token) && r->GetString(&key); }
-
-void EvReadReply::Encode(ByteWriter* w) const {
-  w->PutU64(token);
-  w->PutString(key);
-  w->PutBool(found);
-  w->PutString(value);
-  version.Encode(w);
-}
-bool EvReadReply::Decode(ByteReader* r) {
-  return r->GetU64(&token) && r->GetString(&key) && r->GetBool(&found) && r->GetString(&value) &&
-         version.Decode(r);
-}
-
-// ------------------------------ geo ----------------------------------------
-
-void GeoLocalStable::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  version.Encode(w);
-  w->PutBool(has_payload);
-  w->PutString(value);
-  EncodeDeps(deps, w);
-  trace.Encode(w);
-}
-bool GeoLocalStable::Decode(ByteReader* r) {
-  return r->GetString(&key) && version.Decode(r) && r->GetBool(&has_payload) &&
-         r->GetString(&value) && DecodeDeps(r, &deps) && trace.Decode(r);
-}
-size_t GeoLocalStable::EncodedSize() const {
-  return 4 + key.size() + version.EncodedSize() + 1 + 4 + value.size() + EncodedDepsSize(deps) +
-         trace.EncodedSize();
-}
-
-void GeoLocalStableAck::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  version.Encode(w);
-}
-bool GeoLocalStableAck::Decode(ByteReader* r) {
-  return r->GetString(&key) && version.Decode(r);
-}
-
-void GeoShip::Encode(ByteWriter* w) const {
-  w->PutU16(origin_dc);
-  w->PutU64(channel_seq);
-  w->PutString(key);
-  w->PutString(value);
-  version.Encode(w);
-  EncodeDeps(deps, w);
-  trace.Encode(w);
-}
-bool GeoShip::Decode(ByteReader* r) {
-  return r->GetU16(&origin_dc) && r->GetU64(&channel_seq) && r->GetString(&key) &&
-         r->GetString(&value) && version.Decode(r) && DecodeDeps(r, &deps) && trace.Decode(r);
-}
-size_t GeoShip::EncodedSize() const {
-  return 2 + 8 + 4 + key.size() + 4 + value.size() + version.EncodedSize() +
-         EncodedDepsSize(deps) + trace.EncodedSize();
-}
-
-void GeoShipBatch::Encode(ByteWriter* w) const {
-  w->PutVarU64(ships.size());
-  for (const GeoShip& s : ships) {
-    s.Encode(w);
-  }
-}
-bool GeoShipBatch::Decode(ByteReader* r) {
-  uint64_t n = 0;
-  if (!r->GetVarU64(&n) || n > (1u << 20)) {
-    return false;
-  }
-  ships.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!ships[i].Decode(r)) {
-      return false;
-    }
-  }
-  return true;
-}
-size_t GeoShipBatch::EncodedSize() const {
-  size_t n = VarU64Size(ships.size());
-  for (const GeoShip& s : ships) {
-    n += s.EncodedSize();
-  }
-  return n;
-}
-
-void GeoApplied::Encode(ByteWriter* w) const {
-  w->PutU16(dest_dc);
-  w->PutU64(channel_seq);
-}
-bool GeoApplied::Decode(ByteReader* r) {
-  return r->GetU16(&dest_dc) && r->GetU64(&channel_seq);
-}
-
-void GeoRemotePut::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutString(value);
-  version.Encode(w);
-  EncodeDeps(deps, w);
-  trace.Encode(w);
-}
-bool GeoRemotePut::Decode(ByteReader* r) {
-  return r->GetString(&key) && r->GetString(&value) && version.Decode(r) &&
-         DecodeDeps(r, &deps) && trace.Decode(r);
-}
-size_t GeoRemotePut::EncodedSize() const {
-  return 4 + key.size() + 4 + value.size() + version.EncodedSize() + EncodedDepsSize(deps) +
-         trace.EncodedSize();
-}
-
-// --------------------------- membership -------------------------------------
-
-namespace {
-
-void EncodeU32Vec(const std::vector<uint32_t>& v, ByteWriter* w) {
-  w->PutVarU64(v.size());
-  for (uint32_t x : v) {
-    w->PutU32(x);
-  }
-}
-
-bool DecodeU32Vec(ByteReader* r, std::vector<uint32_t>* v) {
-  uint64_t n = 0;
-  if (!r->GetVarU64(&n) || n > (1u << 20)) {
-    return false;
-  }
-  v->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!r->GetU32(&(*v)[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-void MemNewMembership::Encode(ByteWriter* w) const {
-  w->PutU64(epoch);
-  EncodeU32Vec(nodes, w);
-  EncodeU32Vec(weights, w);
-  EncodeU32Vec(pre_synced, w);
-}
-bool MemNewMembership::Decode(ByteReader* r) {
-  return r->GetU64(&epoch) && DecodeU32Vec(r, &nodes) && DecodeU32Vec(r, &weights) &&
-         DecodeU32Vec(r, &pre_synced);
-}
-
-void MemHeartbeat::Encode(ByteWriter* w) const { w->PutU32(node); }
-bool MemHeartbeat::Decode(ByteReader* r) { return r->GetU32(&node); }
-
-void MemSyncKey::Encode(ByteWriter* w) const {
-  w->PutU64(epoch);
-  w->PutString(key);
-  w->PutString(value);
-  version.Encode(w);
-  w->PutBool(stable);
-}
-bool MemSyncKey::Decode(ByteReader* r) {
-  return r->GetU64(&epoch) && r->GetString(&key) && r->GetString(&value) && version.Decode(r) &&
-         r->GetBool(&stable);
-}
-
-void MemSyncDone::Encode(ByteWriter* w) const {
-  w->PutU64(epoch);
-  w->PutU32(from);
-}
-bool MemSyncDone::Decode(ByteReader* r) { return r->GetU64(&epoch) && r->GetU32(&from); }
-
-// --------------------------- key-range migration ---------------------------
-
-void MigSnapshotRequest::Encode(ByteWriter* w) const {
-  w->PutU64(migration_id);
-  w->PutU64(epoch);
-  w->PutU64(planned_epoch);
-  EncodeU32Vec(planned_nodes, w);
-  EncodeU32Vec(planned_weights, w);
-  w->PutU32(coordinator);
-  w->PutU32(batch_keys);
-  w->PutU64(batch_interval);
-}
-bool MigSnapshotRequest::Decode(ByteReader* r) {
-  return r->GetU64(&migration_id) && r->GetU64(&epoch) && r->GetU64(&planned_epoch) &&
-         DecodeU32Vec(r, &planned_nodes) && DecodeU32Vec(r, &planned_weights) &&
-         r->GetU32(&coordinator) && r->GetU32(&batch_keys) && r->GetU64(&batch_interval);
-}
-
-void MigEntry::Encode(ByteWriter* w) const {
-  w->PutString(key);
-  w->PutBool(has_value);
-  w->PutString(value);
-  version.Encode(w);
-  w->PutBool(stable);
-  EncodeDeps(deps, w);
-}
-bool MigEntry::Decode(ByteReader* r) {
-  return r->GetString(&key) && r->GetBool(&has_value) && r->GetString(&value) &&
-         version.Decode(r) && r->GetBool(&stable) && DecodeDeps(r, &deps);
-}
-
-void MigKeyBatch::Encode(ByteWriter* w) const {
-  w->PutU64(migration_id);
-  w->PutU64(epoch);
-  w->PutU32(source);
-  w->PutU32(target);
-  w->PutU32(coordinator);
-  w->PutU64(seq);
-  w->PutBool(last);
-  w->PutVarU64(entries.size());
-  for (const MigEntry& e : entries) {
-    e.Encode(w);
-  }
-}
-bool MigKeyBatch::Decode(ByteReader* r) {
-  uint64_t n = 0;
-  if (!r->GetU64(&migration_id) || !r->GetU64(&epoch) || !r->GetU32(&source) ||
-      !r->GetU32(&target) || !r->GetU32(&coordinator) || !r->GetU64(&seq) || !r->GetBool(&last) ||
-      !r->GetVarU64(&n) || n > (1u << 20)) {
-    return false;
-  }
-  entries.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!entries[i].Decode(r)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void MigSnapshotDone::Encode(ByteWriter* w) const {
-  w->PutU64(migration_id);
-  w->PutU32(from);
-  w->PutU64(keys_streamed);
-  EncodeU32Vec(targets, w);
-  w->PutBool(aborted);
-}
-bool MigSnapshotDone::Decode(ByteReader* r) {
-  return r->GetU64(&migration_id) && r->GetU32(&from) && r->GetU64(&keys_streamed) &&
-         DecodeU32Vec(r, &targets) && r->GetBool(&aborted);
-}
-
-void MigRangeSealed::Encode(ByteWriter* w) const {
-  w->PutU64(migration_id);
-  w->PutU32(source);
-  w->PutU32(target);
-  w->PutU64(entries_applied);
-}
-bool MigRangeSealed::Decode(ByteReader* r) {
-  return r->GetU64(&migration_id) && r->GetU32(&source) && r->GetU32(&target) &&
-         r->GetU64(&entries_applied);
-}
-
-void MigCommit::Encode(ByteWriter* w) const {
-  w->PutU64(migration_id);
-  w->PutU64(planned_epoch);
-  EncodeU32Vec(nodes, w);
-  EncodeU32Vec(weights, w);
-  EncodeU32Vec(pre_synced, w);
-}
-bool MigCommit::Decode(ByteReader* r) {
-  return r->GetU64(&migration_id) && r->GetU64(&planned_epoch) && DecodeU32Vec(r, &nodes) &&
-         DecodeU32Vec(r, &weights) && DecodeU32Vec(r, &pre_synced);
-}
-
-void MigAbort::Encode(ByteWriter* w) const {
-  w->PutU64(migration_id);
-  w->PutString(reason);
-}
-bool MigAbort::Decode(ByteReader* r) { return r->GetU64(&migration_id) && r->GetString(&reason); }
 
 }  // namespace chainreaction

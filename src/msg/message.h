@@ -1,15 +1,11 @@
 // Wire messages for every protocol in the repository.
 //
-// Each message is a plain struct with Encode/Decode methods and a static
-// kType tag. A serialized message is `u16 type` followed by the body; the
-// same bytes flow through the simulated network and the TCP transport.
-//
-// Wire format v2 (hot-path Crx messages only): the frame is
-// `u16 (type | kWireV2Flag)` followed by a varint-encoded body produced by
-// EncodeV2(). The flag bit makes every frame self-describing — a decoder
-// never needs out-of-band knowledge of the sender's configuration, v1
-// frames keep decoding after an upgrade, and v2 frames fail cleanly (type
-// mismatch) on a v1-only decoder. See DESIGN.md §14.
+// Each message is a plain struct with a static kType tag and one static
+// Fields() function that lists its fields in wire order. A serialized
+// message is `u16 type` followed by the fields, encoded by the schema-driven
+// codec below; the same bytes flow through the simulated network and the
+// TCP transport. There is one frame layout for every message (DESIGN.md
+// §14).
 //
 // Naming convention by protocol:
 //   Crx*   — ChainReaction (the paper's system)
@@ -18,12 +14,17 @@
 //   Ev*    — eventual/quorum baseline (Cassandra stand-in)
 //   Geo*   — inter-datacenter replication
 //   Mem*   — membership / chain repair
+//   Mig*   — key-range migration
 #ifndef SRC_MSG_MESSAGE_H_
 #define SRC_MSG_MESSAGE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -101,73 +102,218 @@ enum class MsgType : uint16_t {
   kMigAbort = 85,
 };
 
-// High bit of the u16 type tag marks a wire-format-v2 body. Real type tags
-// stay far below it, so a flagged tag can never collide with a plain one.
-inline constexpr uint16_t kWireV2Flag = 0x8000;
-
 // Returns the type tag of a serialized message (kInvalid if too short).
-// The v2 flag bit is masked off, so dispatch switches see the same MsgType
-// regardless of the body's wire format.
 MsgType PeekType(std::string_view payload);
 
-// Wire format of a serialized message (kV1 if too short — decode will fail
-// with a honest error downstream anyway).
-WireFormat PeekWireFormat(std::string_view payload);
+// ---------------------------------------------------------------------------
+// Schema-driven codec
+// ---------------------------------------------------------------------------
+//
+// A message struct lists its fields once, in wire order:
+//
+//   template <class S, class F>
+//   static auto Fields(S& m, F&& f) { return f(m.req, m.key, ...); }
+//
+// `S` is the struct itself (const or not) or one of its zero-copy views,
+// whose field names are the same (see ViewOf). Size, Write and Read walk
+// that list; a field's encoding follows its C++ type:
+//   bool                        1 byte
+//   unsigned integer            LEB128 varint; decode rejects a value that
+//                               does not fit the field's type
+//   std::string / string_view   varint length + bytes (a decoded view
+//                               aliases the frame)
+//   Version, Dependency,        their EncodeV2/DecodeV2/EncodedSizeV2
+//   TraceContext
+//   list (std::vector,          varint count + elements; decode rejects a
+//   SmallVector)                count above the bytes left in the frame
+//                               (every element takes at least one byte) or
+//                               above kMaxListCount, and grows the list as
+//                               elements arrive (see ReadList)
+//   message struct              its own Fields, recursively
+// Everything is resolved at compile time: a message's Size/Write/Read
+// inline to the same straight-line code a hand-written codec would be.
+namespace wire {
 
-// Hot-path messages implement EncodedSize() so the writer can allocate the
-// final buffer in one shot (no growth reallocations mid-encode). Messages
-// with an EncodeV2()/EncodedSizeV2() pair can be asked for a v2 frame;
-// types without one (control plane, baselines) always encode v1.
-template <typename M>
-std::string EncodeMessage(const M& m, WireFormat wf = WireFormat::kV1) {
-  ByteWriter w;
-  if constexpr (requires(ByteWriter* pw) {
-                  m.EncodeV2(pw);
-                  m.EncodedSizeV2();
-                }) {
-    if (wf == WireFormat::kV2) {
-      w.Reserve(2 + m.EncodedSizeV2());
-      w.PutU16(static_cast<uint16_t>(M::kType) | kWireV2Flag);
-      m.EncodeV2(&w);
-      return w.Take();
+// Largest list count any decoder accepts, wire or storage record.
+inline constexpr uint64_t kMaxListCount = 1u << 20;
+// Elements sized up front (the common short list decodes in place); a
+// longer list grows only as its elements actually decode, so the memory a
+// frame claims follows what it carries.
+inline constexpr size_t kListReserve = 1024;
+
+// The one list reader: varint count, then `read_one(&element)` per
+// element. Both count bounds are checked before anything is allocated.
+template <class L, class ReadOne>
+bool ReadList(ByteReader* r, L* v, ReadOne&& read_one) {
+  uint64_t n = 0;
+  if (!r->GetVarU64(&n) || n > std::min<uint64_t>(r->remaining(), kMaxListCount)) {
+    return false;
+  }
+  v->resize(std::min<size_t>(static_cast<size_t>(n), kListReserve));
+  for (auto& e : *v) {
+    if (!read_one(&e)) {
+      return false;
     }
   }
-  if constexpr (requires { m.EncodedSize(); }) {
-    w.Reserve(2 + m.EncodedSize());
+  for (uint64_t i = v->size(); i < n; ++i) {
+    if (!read_one(&v->emplace_back())) {
+      return false;
+    }
   }
+  return true;
+}
+
+template <class M, class F>
+decltype(auto) VisitFields(M& m, F&& f) {
+  using T = std::remove_const_t<M>;
+  if constexpr (requires { typename T::Owned; }) {
+    return T::Owned::Fields(m, std::forward<F>(f));
+  } else {
+    return T::Fields(m, std::forward<F>(f));
+  }
+}
+
+template <class T>
+concept StringLike = std::is_convertible_v<const T&, std::string_view>;
+
+template <class T>
+concept HasCodec = requires(const T& v, ByteWriter* w) {
+  v.EncodeV2(w);
+  v.EncodedSizeV2();
+};
+
+template <class T>
+concept List = !StringLike<T> && requires(const T& v) {
+  typename T::value_type;
+  v.begin();
+  v.size();
+};
+
+template <class T>
+size_t Size(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return 1;
+  } else if constexpr (std::is_unsigned_v<T>) {
+    return VarU64Size(v);
+  } else if constexpr (StringLike<T>) {
+    return VarStringSize(v);
+  } else if constexpr (HasCodec<T>) {
+    return v.EncodedSizeV2();
+  } else if constexpr (List<T>) {
+    size_t n = VarU64Size(v.size());
+    for (const auto& e : v) {
+      n += Size(e);
+    }
+    return n;
+  } else {
+    return VisitFields(v, [](const auto&... f) { return (size_t{0} + ... + Size(f)); });
+  }
+}
+
+template <class T>
+void Write(ByteWriter* w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w->PutBool(v);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    w->PutVarU64(v);
+  } else if constexpr (StringLike<T>) {
+    w->PutStringViewVar(v);
+  } else if constexpr (HasCodec<T>) {
+    v.EncodeV2(w);
+  } else if constexpr (List<T>) {
+    w->PutVarU64(v.size());
+    for (const auto& e : v) {
+      Write(w, e);
+    }
+  } else {
+    VisitFields(v, [w](const auto&... f) { (Write(w, f), ...); });
+  }
+}
+
+template <class T>
+bool Read(ByteReader* r, T* v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return r->GetBool(v);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    uint64_t x = 0;
+    if (!r->GetVarU64(&x)) {
+      return false;
+    }
+    if constexpr (sizeof(T) < sizeof(uint64_t)) {
+      if (x > std::numeric_limits<T>::max()) {
+        return false;
+      }
+    }
+    *v = static_cast<T>(x);
+    return true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return r->GetStringVar(v);
+  } else if constexpr (std::is_same_v<T, std::string_view>) {
+    return r->GetStringViewVar(v);
+  } else if constexpr (HasCodec<T>) {
+    return v->DecodeV2(r);
+  } else if constexpr (List<T>) {
+    return ReadList(r, v, [r](auto* e) { return Read(r, e); });
+  } else {
+    return VisitFields(*v, [r](auto&... f) { return (Read(r, &f) && ...); });
+  }
+}
+
+// Field-by-field copy between a message and its view: strings to and from
+// string_views, std::vector to and from DepList, everything else as is.
+template <class D, class S>
+void AssignField(D& to, const S& from) {
+  if constexpr (std::is_assignable_v<D&, const S&>) {
+    to = from;
+  } else {
+    to.assign(from.begin(), from.end());
+  }
+}
+
+template <class To, class From>
+To Convert(const From& src) {
+  To dst;
+  VisitFields(dst, [&src](auto&... d) {
+    VisitFields(src, [&](const auto&... s) { (AssignField(d, s), ...); });
+  });
+  return dst;
+}
+
+}  // namespace wire
+
+template <typename M>
+std::string EncodeMessage(const M& m) {
+  ByteWriter w;
+  w.Reserve(2 + wire::Size(m));  // one exact-sized allocation per frame
   w.PutU16(static_cast<uint16_t>(M::kType));
-  m.Encode(&w);
+  wire::Write(&w, m);
   return w.Take();
 }
 
-// Decodes `payload` into `out`; fails on type mismatch or truncation. A
-// frame whose tag carries kWireV2Flag is decoded with DecodeV2() — the
-// receiver accepts both formats unconditionally, which is what makes the
-// `wire_format` knob safe to flip per deployment (mixed traffic decodes).
-//
-// Also accepts the *View structs below: their string fields then alias
-// `payload`, so the decoded message is valid only while the frame buffer
-// is — i.e. within the current OnMessage call.
+// Decodes `payload` into `out`; fails on type mismatch, truncation or an
+// out-of-range field. Also accepts the *View structs below: their string
+// fields then alias `payload`, so the decoded message is valid only while
+// the frame buffer is — i.e. within the current OnMessage call.
 template <typename M>
 bool DecodeMessage(std::string_view payload, M* out) {
   ByteReader r(payload.data(), payload.size());
   uint16_t type = 0;
-  if (!r.GetU16(&type)) {
-    return false;
-  }
-  if (type == static_cast<uint16_t>(M::kType)) {
-    return out->Decode(&r);
-  }
-  if constexpr (requires(ByteReader* pr) { out->DecodeV2(pr); }) {
-    if (type == (static_cast<uint16_t>(M::kType) | kWireV2Flag)) {
-      return out->DecodeV2(&r);
-    }
-  }
-  return false;
+  return r.GetU16(&type) && type == static_cast<uint16_t>(M::kType) && wire::Read(&r, out);
 }
 
-// Dependency-list codecs, generic over the container (std::vector in the
-// owned structs, the inline-capacity DepList in the hot-path view structs).
+// The benchmark under perfbench/ was written when two frame layouts
+// existed and names the one it wants. Only that one is left: the tag is
+// accepted and ignored so those call sites keep compiling.
+enum class WireFormat : uint8_t { kV2 = 1 };
+
+template <typename M>
+std::string EncodeMessage(const M& m, WireFormat /*only one layout*/) {
+  return EncodeMessage(m);
+}
+
+// Storage-record dependency lists (WAL records, checkpoints): fixed-width
+// entries through Dependency::Encode. Not a wire format; generic over the
+// container.
 template <typename List>
 void EncodeDeps(const List& deps, ByteWriter* w) {
   w->PutVarU64(deps.size());
@@ -178,17 +324,7 @@ void EncodeDeps(const List& deps, ByteWriter* w) {
 
 template <typename List>
 bool DecodeDeps(ByteReader* r, List* deps) {
-  uint64_t n = 0;
-  if (!r->GetVarU64(&n) || n > (1u << 20)) {
-    return false;
-  }
-  deps->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!(*deps)[i].Decode(r)) {
-      return false;
-    }
-  }
-  return true;
+  return wire::ReadList(r, deps, [r](Dependency* d) { return d->Decode(r); });
 }
 
 template <typename List>
@@ -200,38 +336,18 @@ size_t EncodedDepsSize(const List& deps) {
   return n;
 }
 
-// v2 variants: varint count, v2-encoded entries.
-template <typename List>
-void EncodeDepsV2(const List& deps, ByteWriter* w) {
-  w->PutVarU64(deps.size());
-  for (const Dependency& d : deps) {
-    d.EncodeV2(w);
-  }
-}
+// Base of the zero-copy view structs: names the owned twin whose Fields
+// the view shares, and generates the conversions between the two.
+template <class View, class OwnedT>
+struct ViewOf {
+  using Owned = OwnedT;
+  static constexpr MsgType kType = OwnedT::kType;
 
-template <typename List>
-bool DecodeDepsV2(ByteReader* r, List* deps) {
-  uint64_t n = 0;
-  if (!r->GetVarU64(&n) || n > (1u << 20)) {
-    return false;
-  }
-  deps->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!(*deps)[i].DecodeV2(r)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-template <typename List>
-size_t EncodedDepsSizeV2(const List& deps) {
-  size_t n = VarU64Size(deps.size());
-  for (const Dependency& d : deps) {
-    n += d.EncodedSizeV2();
-  }
-  return n;
-}
+  // Materializes an owned copy (for parking past the view's lifetime).
+  OwnedT ToOwned() const { return wire::Convert<OwnedT>(static_cast<const View&>(*this)); }
+  // Views into an owned message (single code path for park-and-replay).
+  static View From(const OwnedT& m) { return wire::Convert<View>(m); }
+};
 
 // ---------------------------------------------------------------------------
 // ChainReaction
@@ -250,19 +366,17 @@ struct CrxPut {
   // Observability header: nonzero id marks a sampled request; hops
   // accumulate along the write path (src/obs/trace.h).
   TraceContext trace;
-  // Watermark dep compression (v2 frames only): the cluster stable
-  // watermark the client compressed `deps` against, and the membership
-  // epoch it is valid for. Deps covered by the watermark were dropped
-  // (single-DC) or pre-marked local_stable (multi-DC) before sending.
+  // Watermark dep compression: the cluster stable watermark the client
+  // compressed `deps` against, and the membership epoch it is valid for.
+  // Deps covered by the watermark were dropped (single-DC) or pre-marked
+  // local_stable (multi-DC) before sending.
   uint64_t wm_epoch = 0;
   uint64_t dep_wm = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.req, m.client, m.key, m.value, m.deps, m.trace, m.wm_epoch, m.dep_wm);
+  }
 };
 
 // Node at position k -> client: the write is k-stable.
@@ -273,17 +387,15 @@ struct CrxPutAck {
   Version version;
   ChainIndex acked_at = 0;  // chain position that acknowledged (== k)
   TraceContext trace;       // hops up to (and including) the acking node
-  // v2 frames piggyback the acking node's cluster stable-watermark estimate
-  // (and the epoch it is valid for) so the client can compress future deps.
+  // The acking node's cluster stable-watermark estimate (and the epoch it
+  // is valid for), piggybacked so the client can compress future deps.
   uint64_t wm_epoch = 0;
   uint64_t stable_wm = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.req, m.key, m.version, m.acked_at, m.trace, m.wm_epoch, m.stable_wm);
+  }
 };
 
 // Node at position k -> client: cumulative acknowledgement. With ack
@@ -299,12 +411,8 @@ struct CrxPutAckBatch {
   uint64_t up_to_seq = 0;
   std::vector<CrxPutAck> acks;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.up_to_seq, m.acks); }
 };
 
 // Client -> any node in its allowed chain prefix.
@@ -320,11 +428,8 @@ struct CrxGet {
   // dependency list (to compute the causal snapshot; DESIGN.md §3.8).
   bool with_deps = false;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.client, m.key, m.min_version, m.with_deps); }
 };
 
 struct CrxGetReply {
@@ -337,16 +442,15 @@ struct CrxGetReply {
   ChainIndex position = 0;  // chain position of the answering node
   bool stable = false;      // version is DC-Write-Stable
   std::vector<Dependency> deps;  // filled iff the get asked with_deps
-  // v2 frames piggyback the answering node's cluster watermark estimate.
+  // The answering node's cluster watermark estimate, piggybacked.
   uint64_t wm_epoch = 0;
   uint64_t stable_wm = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.req, m.key, m.found, m.value, m.version, m.position, m.stable, m.deps, m.wm_epoch,
+             m.stable_wm);
+  }
 };
 
 // Head -> successor -> ...: down-chain propagation of one write. The node at
@@ -367,16 +471,15 @@ struct CrxChainPut {
   uint64_t chain_seq = 0;
   std::vector<Dependency> deps;  // shipped to the geo replicator at the tail
   TraceContext trace;     // per-hop annotations of the traced write
-  // v2 frames piggyback the sender's own stable cut (valid for `epoch`) so
+  // The sender's own stable cut (valid for `epoch`), piggybacked so
   // chain neighbors learn each other's watermark from hot-path traffic.
   uint64_t stable_cut = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.key, m.value, m.version, m.client, m.req, m.ack_at, m.epoch, m.chain_seq, m.deps,
+             m.trace, m.stable_cut);
+  }
 };
 
 // Tail -> predecessor -> ... -> head: version became DC-Write-Stable.
@@ -385,14 +488,11 @@ struct CrxStableNotify {
   Key key;
   Version version;
   uint64_t epoch = 0;
-  // v2 frames piggyback the sender's own stable cut (valid for `epoch`).
+  // The sender's own stable cut (valid for `epoch`), piggybacked.
   uint64_t stable_cut = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.version, m.epoch, m.stable_cut); }
 };
 
 // Head of a writing chain -> tail of a dependency's chain: "tell me when
@@ -403,11 +503,8 @@ struct CrxStabilityCheck {
   Version version;
   uint64_t token = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.version, m.token); }
 };
 
 struct CrxStabilityConfirm {
@@ -415,11 +512,8 @@ struct CrxStabilityConfirm {
   uint64_t token = 0;
   Key key;  // which dependency this confirms (idempotent per-dep tracking)
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.token, m.key); }
 };
 
 // Node -> every ring peer: low-rate direct gossip of the sender's stable
@@ -435,11 +529,8 @@ struct CrxWatermark {
   uint64_t cut = 0;     // all local-origin versions with lamport <= cut are
                         // DC-Write-Stable at the sender
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.node, m.epoch, m.cut); }
 };
 
 // ---------------------------------------------------------------------------
@@ -449,10 +540,11 @@ struct CrxWatermark {
 // The *View structs mirror their owned counterparts field for field, but
 // key/value are std::string_view aliases into the frame buffer and the
 // dependency list is an inline-capacity DepList — decoding a common put
-// touches the allocator zero times. They decode BOTH wire formats (the
-// DecodeMessage dispatch is format-blind) and encode byte-identically to
-// the owned structs, which is what lets a chain node re-encode its forward
-// frame straight from the inbound views without materializing the value.
+// touches the allocator zero times. Each view shares its owned twin's
+// Fields list (ViewOf), so it decodes the same frames and encodes
+// byte-identically to the owned struct, which is what lets a chain node
+// re-encode its forward frame straight from the inbound views without
+// materializing the value.
 //
 // LIFETIME RULES (DESIGN.md §15):
 //   * A decoded view is valid only while the source buffer is alive and
@@ -463,8 +555,7 @@ struct CrxWatermark {
 //   * Encoding a view (chain forward, get reply) copies the viewed bytes
 //     into the new frame, so the encoded frame never aliases the source.
 
-struct CrxPutView {
-  static constexpr MsgType kType = MsgType::kCrxPut;
+struct CrxPutView : ViewOf<CrxPutView, CrxPut> {
   RequestId req = 0;
   Address client = 0;
   std::string_view key;
@@ -473,22 +564,9 @@ struct CrxPutView {
   TraceContext trace;
   uint64_t wm_epoch = 0;
   uint64_t dep_wm = 0;
-
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
-
-  // Materializes an owned copy (for parking past the view's lifetime).
-  CrxPut ToOwned() const;
-  // Views into an owned message (single code path for park-and-replay).
-  static CrxPutView From(const CrxPut& m);
 };
 
-struct CrxChainPutView {
-  static constexpr MsgType kType = MsgType::kCrxChainPut;
+struct CrxChainPutView : ViewOf<CrxChainPutView, CrxChainPut> {
   std::string_view key;
   std::string_view value;
   Version version;
@@ -500,41 +578,17 @@ struct CrxChainPutView {
   DepList deps;
   TraceContext trace;
   uint64_t stable_cut = 0;
-
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
-
-  CrxChainPut ToOwned() const;
-  static CrxChainPutView From(const CrxChainPut& m);
 };
 
-struct CrxGetView {
-  static constexpr MsgType kType = MsgType::kCrxGet;
+struct CrxGetView : ViewOf<CrxGetView, CrxGet> {
   RequestId req = 0;
   Address client = 0;
   std::string_view key;
   Version min_version;
   bool with_deps = false;
-
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
-
-  // Materializes an owned copy (for parking past the view's lifetime).
-  CrxGet ToOwned() const;
-  // Views into an owned message (single code path for park-and-replay).
-  static CrxGetView From(const CrxGet& m);
 };
 
-struct CrxGetReplyView {
-  static constexpr MsgType kType = MsgType::kCrxGetReply;
+struct CrxGetReplyView : ViewOf<CrxGetReplyView, CrxGetReply> {
   RequestId req = 0;
   std::string_view key;
   bool found = false;
@@ -545,13 +599,6 @@ struct CrxGetReplyView {
   DepList deps;
   uint64_t wm_epoch = 0;
   uint64_t stable_wm = 0;
-
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
 };
 
 // ---------------------------------------------------------------------------
@@ -565,8 +612,8 @@ struct CrPut {
   Key key;
   Value value;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.client, m.key, m.value); }
 };
 
 struct CrChainPut {
@@ -577,8 +624,8 @@ struct CrChainPut {
   Address client = 0;
   RequestId req = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.value, m.seq, m.client, m.req); }
 };
 
 struct CrPutAck {
@@ -587,8 +634,8 @@ struct CrPutAck {
   Key key;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.key, m.seq); }
 };
 
 // Tail -> ... -> head: FAWN-KV propagates write acks back up the chain (the
@@ -601,8 +648,8 @@ struct CrChainAck {
   Address client = 0;
   RequestId req = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.seq, m.client, m.req); }
 };
 
 struct CrGet {
@@ -611,8 +658,8 @@ struct CrGet {
   Address client = 0;
   Key key;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.client, m.key); }
 };
 
 struct CrGetReply {
@@ -623,8 +670,8 @@ struct CrGetReply {
   Value value;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.key, m.found, m.value, m.seq); }
 };
 
 // ---------------------------------------------------------------------------
@@ -638,8 +685,8 @@ struct CraqPut {
   Key key;
   Value value;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.client, m.key, m.value); }
 };
 
 struct CraqChainPut {
@@ -650,8 +697,8 @@ struct CraqChainPut {
   Address client = 0;
   RequestId req = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.value, m.seq, m.client, m.req); }
 };
 
 // Tail -> ... -> head after commit so nodes can mark the version clean.
@@ -660,8 +707,8 @@ struct CraqCommit {
   Key key;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.seq); }
 };
 
 struct CraqPutAck {
@@ -670,8 +717,8 @@ struct CraqPutAck {
   Key key;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.key, m.seq); }
 };
 
 struct CraqGet {
@@ -680,8 +727,8 @@ struct CraqGet {
   Address client = 0;
   Key key;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.client, m.key); }
 };
 
 struct CraqGetReply {
@@ -692,8 +739,8 @@ struct CraqGetReply {
   Value value;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.key, m.found, m.value, m.seq); }
 };
 
 // Non-tail node with a dirty version -> tail: which seq is committed?
@@ -703,8 +750,8 @@ struct CraqVersionQuery {
   RequestId req = 0;    // original client request, echoed in the reply
   Address client = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.req, m.client); }
 };
 
 struct CraqVersionReply {
@@ -714,8 +761,8 @@ struct CraqVersionReply {
   RequestId req = 0;
   Address client = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.committed_seq, m.req, m.client); }
 };
 
 // ---------------------------------------------------------------------------
@@ -729,8 +776,8 @@ struct EvPut {
   Key key;
   Value value;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.client, m.key, m.value); }
 };
 
 struct EvReplicate {
@@ -740,16 +787,16 @@ struct EvReplicate {
   Version version;
   uint64_t token = 0;  // nonzero when the coordinator counts acks (quorum)
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.value, m.version, m.token); }
 };
 
 struct EvReplicateAck {
   static constexpr MsgType kType = MsgType::kEvReplicateAck;
   uint64_t token = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.token); }
 };
 
 struct EvPutAck {
@@ -758,8 +805,8 @@ struct EvPutAck {
   Key key;
   Version version;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.key, m.version); }
 };
 
 struct EvGet {
@@ -768,8 +815,8 @@ struct EvGet {
   Address client = 0;
   Key key;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.client, m.key); }
 };
 
 struct EvGetReply {
@@ -780,8 +827,8 @@ struct EvGetReply {
   Value value;
   Version version;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.req, m.key, m.found, m.value, m.version); }
 };
 
 struct EvReadQuery {
@@ -789,8 +836,8 @@ struct EvReadQuery {
   uint64_t token = 0;
   Key key;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.token, m.key); }
 };
 
 struct EvReadReply {
@@ -801,8 +848,8 @@ struct EvReadReply {
   Value value;
   Version version;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.token, m.key, m.found, m.value, m.version); }
 };
 
 // ---------------------------------------------------------------------------
@@ -822,9 +869,10 @@ struct GeoLocalStable {
   std::vector<Dependency> deps;
   TraceContext trace;  // carried so geo shipping extends the put's trace
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.key, m.version, m.has_payload, m.value, m.deps, m.trace);
+  }
 };
 
 // Replicator -> tail: the GeoLocalStable notification for (key, version)
@@ -834,8 +882,8 @@ struct GeoLocalStableAck {
   Key key;
   Version version;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.version); }
 };
 
 // Origin replicator -> peer replicator, FIFO per channel.
@@ -849,9 +897,10 @@ struct GeoShip {
   std::vector<Dependency> deps;
   TraceContext trace;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.origin_dc, m.channel_seq, m.key, m.value, m.version, m.deps, m.trace);
+  }
 };
 
 // Origin replicator -> peer replicator: several stable versions shipped in
@@ -864,9 +913,8 @@ struct GeoShipBatch {
   static constexpr MsgType kType = MsgType::kGeoShipBatch;
   std::vector<GeoShip> ships;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.ships); }
 };
 
 // Peer replicator -> origin replicator: the update is applied (and locally
@@ -876,8 +924,8 @@ struct GeoApplied {
   DcId dest_dc = 0;
   uint64_t channel_seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.dest_dc, m.channel_seq); }
 };
 
 // Remote replicator -> local chain head: inject a dependency-cleared remote
@@ -890,9 +938,8 @@ struct GeoRemotePut {
   std::vector<Dependency> deps;  // preserved for multi-get snapshots
   TraceContext trace;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.key, m.value, m.version, m.deps, m.trace); }
 };
 
 // ---------------------------------------------------------------------------
@@ -912,8 +959,8 @@ struct MemNewMembership {
   // MemSyncKey pushes to them (the migration already transferred the data).
   std::vector<NodeId> pre_synced;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.epoch, m.nodes, m.weights, m.pre_synced); }
 };
 
 // Node -> membership service: liveness heartbeat (when failure detection
@@ -922,8 +969,8 @@ struct MemHeartbeat {
   static constexpr MsgType kType = MsgType::kMemHeartbeat;
   NodeId node = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.node); }
 };
 
 // Chain predecessor -> newly added chain member: state transfer of one key.
@@ -935,8 +982,8 @@ struct MemSyncKey {
   Version version;
   bool stable = false;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.epoch, m.key, m.value, m.version, m.stable); }
 };
 
 // Established node -> node added in `epoch`: all repair pushes for that
@@ -949,8 +996,8 @@ struct MemSyncDone {
   uint64_t epoch = 0;
   NodeId from = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.epoch, m.from); }
 };
 
 // ---------------------------------------------------------------------------
@@ -975,8 +1022,11 @@ struct MigSnapshotRequest {
   uint32_t batch_keys = 64;      // keys streamed per self-scheduled tick
   uint64_t batch_interval = 0;   // microseconds between ticks (0 = back-to-back)
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.migration_id, m.epoch, m.planned_epoch, m.planned_nodes, m.planned_weights,
+             m.coordinator, m.batch_keys, m.batch_interval);
+  }
 };
 
 // One migrated version: full causal metadata (version, stability, write-time
@@ -991,8 +1041,10 @@ struct MigEntry {
   bool stable = false;
   std::vector<Dependency> deps;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.key, m.has_value, m.value, m.version, m.stable, m.deps);
+  }
 };
 
 // Source -> target: a batch of migrated versions. `last` marks the end of
@@ -1012,8 +1064,10 @@ struct MigKeyBatch {
   bool last = false;
   std::vector<MigEntry> entries;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.migration_id, m.epoch, m.source, m.target, m.coordinator, m.seq, m.last, m.entries);
+  }
 };
 
 // Source -> coordinator: the bulk snapshot scan finished (`targets` lists
@@ -1027,8 +1081,10 @@ struct MigSnapshotDone {
   std::vector<NodeId> targets;
   bool aborted = false;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.migration_id, m.from, m.keys_streamed, m.targets, m.aborted);
+  }
 };
 
 // Target -> coordinator: every batch of one (source, target) stream up to
@@ -1040,8 +1096,10 @@ struct MigRangeSealed {
   NodeId target = 0;
   uint64_t entries_applied = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.migration_id, m.source, m.target, m.entries_applied);
+  }
 };
 
 // Coordinator -> membership service: every stream is sealed; commit the
@@ -1055,8 +1113,10 @@ struct MigCommit {
   std::vector<uint32_t> weights;
   std::vector<NodeId> pre_synced;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) {
+    return f(m.migration_id, m.planned_epoch, m.nodes, m.weights, m.pre_synced);
+  }
 };
 
 // Coordinator -> sources: stop streaming/mirroring for this migration (a
@@ -1068,8 +1128,8 @@ struct MigAbort {
   uint64_t migration_id = 0;
   std::string reason;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class S, class F>
+  static auto Fields(S& m, F&& f) { return f(m.migration_id, m.reason); }
 };
 
 }  // namespace chainreaction

@@ -30,7 +30,8 @@ HttpClientResponse HttpGet(uint16_t port, const std::string& path, int timeout_m
       "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
   size_t off = 0;
   while (off < request.size()) {
-    const ssize_t n = write(fd, request.data() + off, request.size() - off);
+    // MSG_NOSIGNAL: a server that went away is a failed scrape, not SIGPIPE.
+    const ssize_t n = send(fd, request.data() + off, request.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;

@@ -38,11 +38,13 @@ const char* StatusText(int status) {
 
 // Blocking write of the whole buffer (the fd is non-blocking; poll for
 // writability between short writes). Telemetry pages are tens of KB at
-// most, so this finishes in a few syscalls.
+// most, so this finishes in a few syscalls. MSG_NOSIGNAL: a scraper that
+// resets the connection mid-response must cost an EPIPE, not a SIGPIPE
+// that kills the node.
 bool WriteAll(int fd, const std::string& data) {
   size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = write(fd, data.data() + off, data.size() - off);
+    const ssize_t n = send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;

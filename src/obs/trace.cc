@@ -43,47 +43,6 @@ const char* HopKindName(HopKind kind) {
   return "?";
 }
 
-void TraceContext::Encode(ByteWriter* w) const {
-  w->PutVarU64(id);
-  if (id == 0) {
-    return;  // untraced: one byte on the wire
-  }
-  w->PutVarU64(hops.size());
-  for (const TraceHop& h : hops) {
-    w->PutU8(static_cast<uint8_t>(h.kind));
-    w->PutU32(h.node);
-    w->PutU16(h.dc);
-    w->PutU32(h.detail);
-    w->PutI64(h.at);
-    w->PutVarU64(h.aux);
-  }
-}
-
-bool TraceContext::Decode(ByteReader* r) {
-  hops.clear();
-  if (!r->GetVarU64(&id)) {
-    return false;
-  }
-  if (id == 0) {
-    return true;
-  }
-  uint64_t n = 0;
-  if (!r->GetVarU64(&n) || n > 4096) {
-    return false;
-  }
-  hops.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint8_t kind = 0;
-    TraceHop& h = hops[i];
-    if (!r->GetU8(&kind) || !r->GetU32(&h.node) || !r->GetU16(&h.dc) ||
-        !r->GetU32(&h.detail) || !r->GetI64(&h.at) || !r->GetVarU64(&h.aux)) {
-      return false;
-    }
-    h.kind = static_cast<HopKind>(kind);
-  }
-  return true;
-}
-
 void TraceContext::EncodeV2(ByteWriter* w) const {
   w->PutVarU64(id);
   if (id == 0) {

@@ -85,22 +85,8 @@ struct TraceContext {
     hops.push_back(TraceHop{kind, node, dc, detail, at, aux});
   }
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-
-  size_t EncodedSize() const {
-    if (id == 0) {
-      return 1;
-    }
-    size_t n = VarU64Size(id) + VarU64Size(hops.size());
-    for (const TraceHop& hop : hops) {
-      n += 19 + VarU64Size(hop.aux);
-    }
-    return n;
-  }
-
-  // Wire format v2: hop fields are varints and the timestamp is a zig-zag
-  // signed varint. An untraced context is still one zero byte.
+  // Wire encoding: hop fields are varints and the timestamp is a zig-zag
+  // signed varint. An untraced context is one zero byte.
   void EncodeV2(ByteWriter* w) const;
   bool DecodeV2(ByteReader* r);
 

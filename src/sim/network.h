@@ -91,10 +91,9 @@ class SimNetwork {
   uint64_t messages_delivered() const { return messages_delivered_; }
   uint64_t messages_dropped() const { return messages_dropped_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
-  // Bytes sent per leading u16 frame tag (the message-type word, including
-  // any format flag bits — mask at the consumer). Lets benchmarks break a
-  // byte total down by message kind without the network layer knowing the
-  // message schema.
+  // Bytes sent per leading u16 frame tag (the message-type word). Lets
+  // benchmarks break a byte total down by message kind without the network
+  // layer knowing the message schema.
   const std::unordered_map<uint16_t, uint64_t>& bytes_by_tag() const { return bytes_by_tag_; }
   uint64_t MessagesProcessedBy(Address addr) const;
   Simulator* simulator() { return sim_; }

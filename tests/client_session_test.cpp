@@ -82,6 +82,35 @@ TEST(ClientSession, ResetForgetsEverything) {
   EXPECT_EQ(client->accessed_set_size(), 0u);
 }
 
+// AccessedSetBytes() reports what the accessed set costs on the wire. With
+// two DCs and no watermark no dependency is dropped, so it must equal the
+// bytes the dependency list adds to the encoded CrxPut.
+TEST(ClientSession, AccessedSetBytesMatchEncodedDeps) {
+  ClusterOptions opts = Small();
+  opts.num_dcs = 2;
+  Cluster cluster(opts);
+  cluster.Preload(64, 16);
+  ChainReactionClient* client = cluster.crx_client(0);
+  for (int i = 0; i < 12; ++i) {
+    client->Get(RecordKey(static_cast<uint64_t>(i) * 5), [](const auto&) {});
+    cluster.sim()->Run();
+  }
+  const size_t entries = client->accessed_set_size();
+  const size_t bytes = client->AccessedSetBytes();
+  ASSERT_GE(entries, 12u);
+
+  std::vector<Dependency> sent;
+  client->Put("sink", "v", [&](const ChainReactionClient::PutResult& r) { sent = r.deps; });
+  cluster.sim()->Run();
+  ASSERT_EQ(sent.size(), entries) << "a dependency was dropped";
+  CrxPut with_deps;
+  with_deps.key = "sink";
+  with_deps.deps = sent;
+  CrxPut without_deps;
+  without_deps.key = "sink";
+  EXPECT_EQ(bytes, EncodeMessage(with_deps).size() - EncodeMessage(without_deps).size());
+}
+
 TEST(ClientSession, RetryOnLostAckIsTransparent) {
   ClusterOptions opts = Small(5);
   opts.client_timeout = 20 * kMillisecond;

@@ -24,7 +24,6 @@ TEST(Bytes, RoundTripScalars) {
   w.PutU16(0xbeef);
   w.PutU32(0xdeadbeef);
   w.PutU64(0x0123456789abcdefULL);
-  w.PutI64(-42);
   w.PutBool(true);
   w.PutBool(false);
   w.PutString("hello");
@@ -38,7 +37,6 @@ TEST(Bytes, RoundTripScalars) {
   uint16_t u16;
   uint32_t u32;
   uint64_t u64;
-  int64_t i64;
   bool b1, b2;
   std::string s;
   uint64_t v0, v127, v128, vmax;
@@ -46,7 +44,6 @@ TEST(Bytes, RoundTripScalars) {
   ASSERT_TRUE(r.GetU16(&u16));
   ASSERT_TRUE(r.GetU32(&u32));
   ASSERT_TRUE(r.GetU64(&u64));
-  ASSERT_TRUE(r.GetI64(&i64));
   ASSERT_TRUE(r.GetBool(&b1));
   ASSERT_TRUE(r.GetBool(&b2));
   ASSERT_TRUE(r.GetString(&s));
@@ -60,7 +57,6 @@ TEST(Bytes, RoundTripScalars) {
   EXPECT_EQ(u16, 0xbeef);
   EXPECT_EQ(u32, 0xdeadbeefu);
   EXPECT_EQ(u64, 0x0123456789abcdefULL);
-  EXPECT_EQ(i64, -42);
   EXPECT_TRUE(b1);
   EXPECT_FALSE(b2);
   EXPECT_EQ(s, "hello");

@@ -391,13 +391,13 @@ TEST(TcpTransportMultiLoop, PipelinedPutsWithAckBatching) {
   EXPECT_EQ(result.failures, 0u) << "every pipelined put must be acked";
 }
 
-// Wire format v2 + watermark dependency compression over real sockets: the
-// varint frames must survive the coalesced writev/parser path, and the
-// activity-gated watermark gossip (a periodic timer broadcasting to every
-// ring peer from whichever loop thread owns the node) must not race the
-// protocol handlers (TSan covers this test). Behavior must match v1: zero
+// Watermark dependency compression over real sockets: the varint frames
+// must survive the coalesced writev/parser path, and the activity-gated
+// watermark gossip (a periodic timer broadcasting to every ring peer from
+// whichever loop thread owns the node) must not race the protocol handlers
+// (TSan covers this test). Behavior must match explicit deps: zero
 // failures, every value reads back.
-TEST(TcpTransportMultiLoop, WireV2WatermarkUnderLoad) {
+TEST(TcpTransportMultiLoop, WatermarkUnderLoad) {
   TcpCluster::Options opts;
   opts.num_nodes = 6;
   opts.loop_threads = 2;
@@ -406,7 +406,6 @@ TEST(TcpTransportMultiLoop, WireV2WatermarkUnderLoad) {
   opts.config.k_stability = 2;
   opts.config.num_dcs = 1;
   opts.config.client_timeout = 2 * kSecond;
-  opts.config.wire_format = WireFormat::kV2;
   opts.config.dep_watermark = true;
   TcpCluster cluster(opts);
 

@@ -237,13 +237,13 @@ TEST(MetricsRegistry, ConcurrentUpdatesAndSnapshots) {
 TEST(TraceWire, UntracedContextCostsOneByte) {
   TraceContext t;
   ByteWriter w;
-  t.Encode(&w);
+  t.EncodeV2(&w);
   EXPECT_EQ(w.size(), 1u);  // varint 0
 
   ByteReader r(w.data());
   TraceContext back;
   back.hops.push_back(TraceHop{HopKind::kClientPut, 1, 0, 0, 5});  // must be cleared
-  ASSERT_TRUE(back.Decode(&r));
+  ASSERT_TRUE(back.DecodeV2(&r));
   EXPECT_FALSE(back.active());
   EXPECT_TRUE(back.hops.empty());
   EXPECT_TRUE(r.AtEnd());
@@ -257,10 +257,10 @@ TEST(TraceWire, RoundTripPreservesHops) {
   t.Annotate(HopKind::kKAck, 5, 1, 2, 2000);
 
   ByteWriter w;
-  t.Encode(&w);
+  t.EncodeV2(&w);
   ByteReader r(w.data());
   TraceContext back;
-  ASSERT_TRUE(back.Decode(&r));
+  ASSERT_TRUE(back.DecodeV2(&r));
   EXPECT_TRUE(r.AtEnd());
 
   EXPECT_EQ(back.id, t.id);
@@ -275,13 +275,13 @@ TEST(TraceWire, DecodeRejectsTruncatedInput) {
   t.id = 9;
   t.Annotate(HopKind::kHeadApply, 1, 0, 1, 100);
   ByteWriter w;
-  t.Encode(&w);
+  t.EncodeV2(&w);
 
   const std::string& full = w.data();
   for (size_t cut = 1; cut + 1 < full.size(); ++cut) {
     ByteReader r(full.data(), cut);
     TraceContext back;
-    EXPECT_FALSE(back.Decode(&r)) << "accepted a " << cut << "-byte prefix";
+    EXPECT_FALSE(back.DecodeV2(&r)) << "accepted a " << cut << "-byte prefix";
   }
 }
 

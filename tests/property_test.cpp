@@ -146,12 +146,11 @@ INSTANTIATE_TEST_SUITE_P(VictimsSeeds, FailureSweep,
 
 // ---------------------------------------------------------------------------
 // Sweep 4: differential watermark-compression test (DESIGN.md §14). The same
-// seeded workload runs twice — explicit COPS-style dependency lists (v1
-// wire) vs watermark-compressed dependencies (v2 wire + dep_watermark) —
-// and both runs must (a) pass the causal+ checker with zero violations and
+// seeded workload runs twice — explicit COPS-style dependency lists vs
+// watermark-compressed dependencies (dep_watermark) — and both runs must (a) pass the causal+ checker with zero violations and
 // (b) land every key on the same final value. Values, not versions, are
 // compared: the byte-size-dependent service model makes timing (and thus
-// lamport assignment) diverge between formats, but with per-client key
+// lamport assignment) diverge between the two runs, but with per-client key
 // ownership and sequential op chains the last write per key is the same
 // logical operation in both runs.
 // ---------------------------------------------------------------------------
@@ -219,7 +218,6 @@ ClusterOptions DifferentialOptions(uint64_t seed, bool watermark) {
   opts.servers_per_dc = 8;
   opts.clients_per_dc = 6;
   opts.seed = seed;
-  opts.wire_format = watermark ? WireFormat::kV2 : WireFormat::kV1;
   opts.dep_watermark = watermark;
   return opts;
 }

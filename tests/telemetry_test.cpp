@@ -497,5 +497,51 @@ TEST(TelemetryServerTest, LiveScrape) {
   server.Stop();
 }
 
+// A scraper that sends its request, half-closes, and resets the connection
+// (SO_LINGER 0) instead of reading the response. The server's next write
+// lands on a socket that got FIN then RST, which raises SIGPIPE unless the
+// write passes MSG_NOSIGNAL; the default action kills the whole process.
+// `read_first` resets only after the response has started to arrive.
+void AbortScrape(uint16_t port, bool read_first) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string req = "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n";
+  ASSERT_EQ(::send(fd, req.data(), req.size(), MSG_NOSIGNAL), static_cast<ssize_t>(req.size()));
+  ::shutdown(fd, SHUT_WR);
+  if (read_first) {
+    char buf[64];
+    ASSERT_GT(::read(fd, buf, sizeof(buf)), 0);
+  }
+  const linger reset{1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  ::close(fd);
+}
+
+TEST(TelemetryServerTest, AbortedScrapeKeepsServing) {
+  MetricsRegistry registry;
+  // A /metrics page of a few hundred KB: more than one write's worth.
+  for (int i = 0; i < 8000; ++i) {
+    registry.GetCounter("bulk_counter", {{"series", std::to_string(i)}})->Inc(i);
+  }
+  TelemetryServer server(0);
+  ASSERT_TRUE(server.ok());
+  server.AttachMetrics(&registry);
+  server.Start();
+  const uint16_t port = server.port();
+  ASSERT_NE(port, 0);
+  for (const bool read_first : {false, true, false, true}) {
+    AbortScrape(port, read_first);
+    const std::string resp = HttpGet(port, "/metrics");
+    EXPECT_NE(resp.find("200 OK"), std::string::npos) << "read_first=" << read_first;
+    EXPECT_NE(resp.find("bulk_counter{series=\"7999\"} 7999"), std::string::npos);
+  }
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace chainreaction
