@@ -3,7 +3,11 @@
 // Part 1 (paper figure): the accessed-set (nearest dependencies) grows with
 // the number of *distinct* keys read since the last write and collapses to
 // one entry at every write — the cost of causal tracking is bounded by
-// client behaviour, not by system size or history length.
+// client behaviour, not by system size or history length. A second table
+// counts the per-key read metadata a session keeps against the distinct
+// keys it has written: explicit deps keep one entry per key ever written
+// (a k-ack never says the write became stable), the watermark lets the
+// session forget what it proves DC-Write-Stable.
 //
 // Part 2 (wire cost): what that metadata costs on the network, and what
 // watermark compression buys back. Two variants of the same dep-heavy cell
@@ -26,6 +30,7 @@
 // in BENCH_e8.json (--out).
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -88,6 +93,45 @@ void GrowthTable(std::vector<BenchJsonRow>* rows) {
                       {"deps_bytes", static_cast<double>(bytes)}}});
   }
   std::printf("(entries grow with distinct keys read; every write resets to 1)\n\n");
+}
+
+// Part 1b: per-key read metadata held by one session vs distinct keys it
+// wrote back to back, explicit deps against the watermark (the default).
+void MetadataTable(std::vector<BenchJsonRow>* rows) {
+  const std::vector<int> checkpoints = {64, 256, 1024, 4096};
+  std::vector<size_t> entries[2];
+  for (const bool watermark : {false, true}) {
+    ClusterOptions opts;
+    opts.system = SystemKind::kChainReaction;
+    opts.servers_per_dc = 8;
+    opts.clients_per_dc = 1;
+    opts.dep_watermark = watermark;
+    Cluster cluster(opts);
+    ChainReactionClient* client = cluster.crx_client(0);
+    int written = 0;
+    for (const int target : checkpoints) {
+      std::function<void()> put_next = [&]() {
+        if (written < target) {
+          client->Put("e8-w" + std::to_string(written++), "v", [&](const auto&) { put_next(); });
+        }
+      };
+      put_next();
+      cluster.sim()->Run();
+      entries[watermark ? 1 : 0].push_back(client->metadata_entries());
+    }
+  }
+
+  PrintTableHeader("E8a': per-key read metadata held by a session that only writes",
+                   {"keys written", "explicit", "watermark"});
+  for (size_t i = 0; i < checkpoints.size(); ++i) {
+    PrintTableRow({FmtU(static_cast<uint64_t>(checkpoints[i])), FmtU(entries[0][i]),
+                   FmtU(entries[1][i])});
+    rows->push_back({"metadata_w" + std::to_string(checkpoints[i]),
+                     {{"keys_written", static_cast<double>(checkpoints[i])},
+                      {"explicit_entries", static_cast<double>(entries[0][i])},
+                      {"watermark_entries", static_cast<double>(entries[1][i])}}});
+  }
+  std::printf("(explicit: one entry per key ever written; watermark: the unstable window)\n\n");
 }
 
 // One variant of the Part-2 cell. Returns bytes/op for the smoke gates.
@@ -199,6 +243,7 @@ int main(int argc, char** argv) {
 
   std::vector<BenchJsonRow> rows;
   GrowthTable(&rows);
+  MetadataTable(&rows);
 
   PrintTableHeader(
       "E8b: wire cost of causality metadata (dep-heavy cell, 16B values)",

@@ -1,5 +1,6 @@
 #include "src/core/chainreaction_client.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -25,6 +26,7 @@ void ChainReactionClient::AttachObs(MetricsRegistry* metrics, TraceCollector* tr
   m_get_latency_ = metrics->GetLatency("crx_client_get_latency_us", labels);
   m_deps_bytes_ = metrics->GetGauge("crx_client_deps_bytes", labels);
   m_accessed_keys_ = metrics->GetGauge("crx_client_accessed_keys", labels);
+  m_metadata_keys_ = metrics->GetGauge("crx_client_metadata_keys", labels);
   m_retries_ = metrics->GetCounter("crx_client_retries", labels);
   m_slow_traces_ = metrics->GetCounter("crx_client_slow_traces", labels);
 }
@@ -131,6 +133,7 @@ void ChainReactionClient::SendPut(RequestId req) {
     if (m_deps_bytes_ != nullptr) {
       m_deps_bytes_->Set(static_cast<int64_t>(AccessedSetBytes()));
       m_accessed_keys_->Set(static_cast<int64_t>(accessed_.size()));
+      m_metadata_keys_->Set(static_cast<int64_t>(metadata_.size()));
     }
     // Head sampling decides up front; with tail capture on, every put is
     // traced and the keep/drop decision happens at ack time.
@@ -335,6 +338,7 @@ void ChainReactionClient::HandlePutAck(const CrxPutAck& ack) {
 
   const bool stable = ack.acked_at >= config_.replication;
   metadata_[ack.key] = KeyMetadata{ack.version, ack.acked_at};
+  MaybeSweepMetadata();
   // The new write causally subsumes everything accessed before it. In the
   // steady put stream the set holds exactly one entry, so rewrite that node
   // in place instead of freeing and reallocating it on every ack.
@@ -379,6 +383,7 @@ void ChainReactionClient::HandleGetReply(const CrxGetReplyView& reply) {
     auto md = metadata_.find(key);
     if (md == metadata_.end()) {
       metadata_[key] = KeyMetadata{reply.version, new_index};
+      MaybeSweepMetadata();
     } else if (md->second.version == reply.version) {
       md->second.chain_index = std::max(md->second.chain_index, new_index);
     } else if (md->second.version.LwwLess(reply.version)) {
@@ -408,6 +413,24 @@ void ChainReactionClient::HandleGetReply(const CrxGetReplyView& reply) {
     AllocPhaseScope phase(AllocPhase::kCallback);
     cb(result);
   }
+}
+
+void ChainReactionClient::MaybeSweepMetadata() {
+  if (metadata_.size() < metadata_sweep_at_) {
+    return;
+  }
+  // Safe to forget: a stable version is on every replica of its chain, so
+  // the no-metadata read rule (any chain node) returns it or something
+  // newer. Remote-origin versions are never watermark-covered; they go
+  // only once a local read reply reported them DC-Write-Stable.
+  for (auto it = metadata_.begin(); it != metadata_.end();) {
+    if (it->second.chain_index >= config_.replication || WatermarkCovers(it->second.version)) {
+      it = metadata_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  metadata_sweep_at_ = std::max(kMetadataSweepFloor, 2 * metadata_.size());
 }
 
 void ChainReactionClient::MultiGet(std::vector<Key> keys, MultiGetCallback cb) {

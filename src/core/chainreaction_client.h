@@ -5,7 +5,11 @@
 //     this session causally depends on, and how many chain-prefix nodes are
 //     known to have applied it. Reads are load-balanced uniformly over that
 //     prefix; a reply carrying a DC-Write-Stable version widens the prefix
-//     to the whole chain.
+//     to the whole chain. An entry known DC-Write-Stable (chain_index == R,
+//     or covered by the cluster watermark) is forgotten at the next sweep:
+//     a key with no entry is read from any chain node, which is exactly
+//     what a stable entry allows, so the map bounds itself by the unstable
+//     window instead of by the session's history.
 //   * The accessed-set: COPS-style nearest dependencies — every key
 //     read/written since the session's last write. It is attached to the
 //     next put and collapses to {written key} once that put is acked
@@ -123,6 +127,7 @@ class ChainReactionClient : public Actor {
   // Tests only: forget all session state.
   void ResetSession() {
     metadata_.clear();
+    metadata_sweep_at_ = kMetadataSweepFloor;
     accessed_.clear();
   }
 
@@ -170,6 +175,11 @@ class ChainReactionClient : public Actor {
   // The view aliases the transport buffer; every field the client keeps
   // (value, deps, metadata) is copied into owned state inside the call.
   void HandleGetReply(const CrxGetReplyView& reply);
+  // Called after every metadata_ insert: once the map has doubled since the
+  // last sweep (floor kMetadataSweepFloor), erases every entry known
+  // DC-Write-Stable. Each sweep is paid for by the inserts since the last
+  // one, so the cost per op is amortised O(1).
+  void MaybeSweepMetadata();
 
   ChainIndex AllowedPrefix(const Key& key) const;
   // Fills `out` (cleared first) so a caller-owned vector's capacity is
@@ -204,6 +214,8 @@ class ChainReactionClient : public Actor {
   // SendPut fills it in place instead of allocating a fresh vector.
   std::vector<Dependency> spare_result_deps_;
   std::unordered_map<Key, KeyMetadata> metadata_;
+  static constexpr size_t kMetadataSweepFloor = 64;
+  size_t metadata_sweep_at_ = kMetadataSweepFloor;
   // Nearest dependencies accumulated since the last write. `stable` marks
   // versions the client knows to be DC-Write-Stable (read replies say so);
   // those need no stability gating and, in single-DC deployments, are not
@@ -232,6 +244,7 @@ class ChainReactionClient : public Actor {
   LatencyMetric* m_get_latency_ = nullptr;
   Gauge* m_deps_bytes_ = nullptr;
   Gauge* m_accessed_keys_ = nullptr;
+  Gauge* m_metadata_keys_ = nullptr;
   Counter* m_retries_ = nullptr;
   Counter* m_slow_traces_ = nullptr;  // tail-retained slow puts
   TraceSamplingPolicy sampling_;      // derived from config in the ctor

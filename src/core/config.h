@@ -75,12 +75,13 @@ struct CrxConfig {
   // non-DC-Write-Stable locally-minted version in their store and gossip
   // per-node stable cuts; the cluster-wide minimum W guarantees
   // every local-origin version with lamport <= W is DC-Write-Stable.
-  // Clients drop (single-DC) or pre-mark local_stable (multi-DC) any
-  // dependency covered by W, so the common-case put ships one scalar
-  // instead of a dep list, and heads skip stability checks for covered
-  // deps. Off by default: explicit COPS-style dep lists are the paper's
-  // protocol and the bench baseline.
-  bool dep_watermark = false;
+  // Clients drop any dependency covered by W (and, single-DC, any
+  // reply-stable one), so the common-case put ships one scalar instead of
+  // a dep list, heads skip stability checks for covered deps, and clients
+  // forget per-key read metadata W covers. On by default. false is the
+  // paper's protocol: every put carries its full COPS-style dep list.
+  // Uncovered and remote-origin deps travel as explicit lists either way.
+  bool dep_watermark = true;
 
   // Period of the direct stable-cut broadcast between ring peers while
   // dep_watermark is on. Piggybacked cuts on chain traffic only reach

@@ -59,8 +59,9 @@ struct ClusterOptions {
 
   ReadPolicy read_policy = ReadPolicy::kUniformPrefix;
   // Stable-watermark dependency compression (see CrxConfig::dep_watermark).
-  bool dep_watermark = false;
-  Duration wm_gossip_interval = 5 * kMillisecond;
+  // Both default to CrxConfig's, so the simulator and TCP run one protocol.
+  bool dep_watermark = CrxConfig{}.dep_watermark;
+  Duration wm_gossip_interval = CrxConfig{}.wm_gossip_interval;
   bool disable_dependency_gating = false;  // testing only
   Duration client_timeout = 500 * kMillisecond;
   // >0 enables heartbeat failure detection (ChainReaction only): nodes

@@ -1,7 +1,12 @@
 // Focused unit tests of the client library's session-state rules: metadata
-// update precedence, accessed-set stability tracking, retries, and
-// determinism of whole-cluster runs.
+// update precedence, metadata sweeps under the watermark, accessed-set
+// stability tracking, retries, and determinism of whole-cluster runs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <string>
 
 #include "src/common/flags.h"
 #include "src/harness/cluster.h"
@@ -88,6 +93,7 @@ TEST(ClientSession, ResetForgetsEverything) {
 TEST(ClientSession, AccessedSetBytesMatchEncodedDeps) {
   ClusterOptions opts = Small();
   opts.num_dcs = 2;
+  opts.dep_watermark = false;  // explicit dependency lists: nothing is covered
   Cluster cluster(opts);
   cluster.Preload(64, 16);
   ChainReactionClient* client = cluster.crx_client(0);
@@ -172,6 +178,104 @@ TEST(ClientSession, WholeClusterRunsAreDeterministic) {
   };
   EXPECT_EQ(fingerprint(42), fingerprint(42));
   EXPECT_NE(fingerprint(42), fingerprint(43));
+}
+
+// Writes `n` distinct keys back to back from one session (each put issued
+// from the previous one's callback) and returns the largest metadata map
+// the session held along the way.
+size_t WriteDistinctKeys(Cluster* cluster, ChainReactionClient* client, int n) {
+  size_t peak = 0;
+  int next = 0;
+  std::function<void()> put_next = [&]() {
+    peak = std::max(peak, client->metadata_entries());
+    if (next == n) {
+      return;
+    }
+    client->Put("distinct-" + std::to_string(next++), "v", [&](const auto&) { put_next(); });
+  };
+  put_next();
+  cluster->sim()->Run();
+  EXPECT_EQ(next, n);
+  return peak;
+}
+
+// With the watermark on (the default) a session forgets metadata the
+// watermark proves DC-Write-Stable, so its map stays near the unstable
+// window however many keys it writes. Explicit mode keeps one entry per
+// written key: a k=2 ack never says the write became stable.
+TEST(ClientSession, MetadataBoundedByWatermark) {
+  Cluster cluster(Small());
+  ChainReactionClient* client = cluster.crx_client(0);
+  const size_t peak = WriteDistinctKeys(&cluster, client, 2000);
+  EXPECT_LE(peak, 128u);
+  EXPECT_LE(client->metadata_entries(), 128u);
+
+  ClusterOptions explicit_opts = Small();
+  explicit_opts.dep_watermark = false;
+  Cluster explicit_cluster(explicit_opts);
+  ChainReactionClient* explicit_client = explicit_cluster.crx_client(0);
+  WriteDistinctKeys(&explicit_cluster, explicit_client, 2000);
+  EXPECT_EQ(explicit_client->metadata_entries(), 2000u);
+}
+
+// The watermark speaks only for the local DC: a remote-origin version the
+// session read before it was DC-Write-Stable here keeps its entry through
+// every sweep, even once the local watermark's lamport has passed it.
+TEST(ClientSession, RemoteOriginMetadataNotDroppedByWatermark) {
+  ClusterOptions opts = Small(3);
+  opts.num_dcs = 2;
+  Cluster cluster(opts);
+  ChainReactionClient* reader = cluster.crx_client(0);  // DC 0
+  ChainReactionClient* remote_writer = cluster.crx_client(opts.clients_per_dc);  // DC 1
+  ASSERT_EQ(cluster.client_dc(opts.clients_per_dc), 1);
+  const ChainIndex r = opts.replication;
+
+  constexpr int kKeys = 200;
+  int written = 0;
+  std::function<void()> put_next = [&]() {
+    if (written < kKeys) {
+      remote_writer->Put("geo-" + std::to_string(written++), "v",
+                         [&](const auto&) { put_next(); });
+    }
+  };
+  put_next();
+
+  // Poll each remote key from DC 0 until a reply carries the DC-1 version.
+  // Replies served before the version stabilized here leave an entry with
+  // chain_index < R; those are the entries under test. Each key is read
+  // only until its first DC-1 reply, so no later stable reply widens it.
+  std::map<Key, Version> unstable_remote;
+  for (int i = 0; i < kKeys; ++i) {
+    const Key key = "geo-" + std::to_string(i);
+    for (int attempt = 0; attempt < 400; ++attempt) {
+      bool done = false;
+      reader->Get(key, [&](const auto&) { done = true; });
+      while (!done) {
+        cluster.sim()->RunUntil(cluster.sim()->Now() + 50);
+      }
+      Version v;
+      ChainIndex idx = 0;
+      if (reader->LookupMetadata(key, &v, &idx) && v.origin == 1) {
+        if (idx < r) {
+          unstable_remote[key] = v;
+        }
+        break;
+      }
+    }
+  }
+  cluster.sim()->Run();
+  ASSERT_FALSE(unstable_remote.empty()) << "no read caught a remote version mid-chain";
+
+  // Local writes move the watermark past the remote lamports and drive
+  // several sweeps (each one drops the covered local entries).
+  WriteDistinctKeys(&cluster, reader, 300);
+  EXPECT_LE(reader->metadata_entries(), 128u + unstable_remote.size());
+  for (const auto& [key, version] : unstable_remote) {
+    ASSERT_GE(reader->watermark(), version.lamport) << "watermark never passed " << key;
+    Version kept;
+    EXPECT_TRUE(reader->LookupMetadata(key, &kept, nullptr)) << "dropped " << key;
+    EXPECT_EQ(kept, version) << key;
+  }
 }
 
 // ------------------------------ flags util ---------------------------------

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/harness/cluster.h"
 #include "src/harness/experiment.h"
@@ -331,6 +333,83 @@ TEST_P(CrxCrashRestart, AckedWritesSurviveCrashRestart) {
     cluster.sim()->Run();
     ASSERT_TRUE(done);
   }
+}
+
+// A session that forgot a key's metadata (the watermark proved the version
+// DC-Write-Stable) reads it with no version floor from any chain node. That
+// must still never return less than the session's own acked write: not
+// while a replica is down, not while it rejoins with a recovered store that
+// lost its un-flushed group-commit batch, and not after.
+TEST_P(CrxCrashRestart, PrunedMetadataReadsAtLeastAcked) {
+  ScratchDir scratch("restart_pruned");
+  ClusterOptions opts = EngineOpts(FailureOpts(37));
+  opts.data_root = scratch.path();
+  // Group commit that never fills its batch: the victim's crash loses every
+  // record of the writes below, so it rejoins without them and only the
+  // repair sync brings them back.
+  opts.fsync_policy = FsyncPolicy::kBatch;
+  opts.wal_batch_records = 4096;
+  Cluster cluster(opts);
+  // Preloaded bulk makes the rejoin repair long enough for reads to land
+  // while it is still in flight.
+  cluster.Preload(4000, 256);
+
+  ChainReactionClient* session = cluster.crx_client(0);
+  std::map<Key, Version> acked;
+  int next = 0;
+  std::function<void()> put_next = [&]() {
+    if (next == 300) {
+      return;
+    }
+    const Key key = "pruned-" + std::to_string(next++);
+    session->Put(key, "value-" + key, [&, key](const ChainReactionClient::PutResult& r) {
+      ASSERT_TRUE(r.status.ok());
+      acked[key] = r.version;
+      put_next();
+    });
+  };
+  put_next();
+  cluster.sim()->Run();
+  ASSERT_EQ(acked.size(), 300u);
+  std::vector<Key> pruned;
+  for (const auto& [key, version] : acked) {
+    if (!session->LookupMetadata(key, nullptr, nullptr)) {
+      pruned.push_back(key);
+    }
+  }
+  ASSERT_GE(pruned.size(), 200u) << "the watermark pruned too little to test";
+
+  // Reads every pruned key; every reply must carry at least the acked version.
+  size_t issued = 0;
+  size_t replies = 0;
+  auto read_all = [&]() {
+    for (const Key& key : pruned) {
+      issued++;
+      session->Get(key, [&, key](const ChainReactionClient::GetResult& r) {
+        replies++;
+        EXPECT_TRUE(r.found) << "lost acked key " << key;
+        EXPECT_FALSE(r.found && r.version.LwwLess(acked[key]))
+            << "read older than the acked version of " << key;
+      });
+    }
+  };
+
+  const uint32_t victim = 4;
+  cluster.CrashServer(0, victim);
+  read_all();
+  cluster.sim()->Run();
+  ASSERT_TRUE(cluster.RestartServer(0, victim).ok());
+  // A round of reads every 250 us while the victim rejoins and its repair
+  // sync streams in, then rounds once it has caught up.
+  for (int round = 0; round < 40; ++round) {
+    read_all();
+    cluster.sim()->RunUntil(cluster.sim()->Now() + 250);
+  }
+  cluster.sim()->Run();
+  read_all();
+  cluster.sim()->Run();
+  EXPECT_EQ(replies, issued);
+  EXPECT_GT(cluster.crx_node(0, victim)->reads_served(), 0u);
 }
 
 TEST_P(CrxCrashRestart, WorkloadAcrossCrashRestartStaysCausal) {

@@ -62,8 +62,9 @@ TEST(Membership, AddNodeRejoins) {
   MembershipService service({1, 2, 3}, 8, 2);
   service.AttachEnv(net.Register(100, &service, 0));
   RecordingActor a;
+  RecordingActor others[3];
   for (NodeId n = 1; n <= 4; ++n) {
-    net.Register(n, n == 4 ? &a : new RecordingActor(), 0);  // others leak (test scope)
+    net.Register(n, n == 4 ? &a : &others[n - 1], 0);
   }
   service.AddNode(4);
   sim.Run();

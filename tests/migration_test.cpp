@@ -4,6 +4,11 @@
 // cutover. All clusters here run heartbeat timers — drive with RunUntil.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "src/harness/cluster.h"
 #include "src/harness/experiment.h"
 #include "src/ycsb/driver.h"
@@ -120,6 +125,81 @@ TEST(Migration, JoinUnderLoadStaysCausal) {
       << (checker.diagnostics().empty() ? "" : checker.diagnostics()[0]);
   std::string diag;
   EXPECT_TRUE(cluster.CheckConvergence(&diag)) << diag;
+}
+
+// A session that forgot a key's metadata reads it with no version floor
+// from any node of the key's chain. A join moves chains onto a newcomer
+// that got its data by migration; reads of pruned keys must never return
+// less than the session's acked write, during the migration or after the
+// flip.
+TEST(Migration, PrunedMetadataReadsAtLeastAckedAcrossJoin) {
+  Cluster cluster(ElasticOpts(17));
+  ChainReactionClient* session = cluster.crx_client(0);
+  std::map<Key, Version> acked;
+  int next = 0;
+  std::function<void()> put_next = [&]() {
+    if (next == 300) {
+      return;
+    }
+    const Key key = "pruned-" + std::to_string(next++);
+    session->Put(key, "value-" + key, [&, key](const ChainReactionClient::PutResult& r) {
+      ASSERT_TRUE(r.status.ok());
+      acked[key] = r.version;
+      put_next();
+    });
+  };
+  put_next();
+  cluster.sim()->RunUntil(cluster.sim()->Now() + 1 * kSecond);
+  ASSERT_EQ(acked.size(), 300u);
+  std::vector<Key> pruned;
+  for (const auto& [key, version] : acked) {
+    if (!session->LookupMetadata(key, nullptr, nullptr)) {
+      pruned.push_back(key);
+    }
+  }
+  ASSERT_GE(pruned.size(), 200u) << "the watermark pruned too little to test";
+
+  size_t issued = 0;
+  size_t replies = 0;
+  auto read_all = [&]() {
+    for (const Key& key : pruned) {
+      issued++;
+      session->Get(key, [&, key](const ChainReactionClient::GetResult& r) {
+        replies++;
+        EXPECT_TRUE(r.found) << "lost acked key " << key;
+        EXPECT_FALSE(r.found && r.version.LwwLess(acked[key]))
+            << "read older than the acked version of " << key;
+      });
+    }
+  };
+
+  // A round of reads every millisecond while the newcomer's data streams
+  // in, across the flip, and for a while after it.
+  uint32_t idx = 0;
+  ASSERT_NE(cluster.AddJoiningServer(0, &idx), 0u);
+  int rounds_after_flip = 0;
+  for (int round = 0; round < 5000 && rounds_after_flip < 20; ++round) {
+    read_all();
+    cluster.sim()->RunUntil(cluster.sim()->Now() + 1 * kMillisecond);
+    if (cluster.coordinator(0)->completed() > 0) {
+      rounds_after_flip++;
+    }
+  }
+  ASSERT_EQ(cluster.coordinator(0)->completed(), 1u);
+  cluster.sim()->RunUntil(cluster.sim()->Now() + 500 * kMillisecond);
+  read_all();
+  cluster.sim()->RunUntil(cluster.sim()->Now() + 500 * kMillisecond);
+  EXPECT_EQ(replies, issued);
+  EXPECT_GT(cluster.crx_node(0, idx)->reads_served(), 0u);
+
+  const NodeId newcomer = cluster.ServerAddress(0, idx);
+  size_t moved = 0;
+  for (const Key& key : pruned) {
+    if (cluster.membership(0)->ring().PositionOf(key, newcomer) != 0) {
+      moved++;
+    }
+  }
+  EXPECT_GT(moved, 0u) << "no pruned key's chain moved onto the newcomer";
 }
 
 TEST(Migration, DrainUnderLoadStaysCausal) {

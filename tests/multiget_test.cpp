@@ -115,6 +115,10 @@ TEST(MultiGet, SnapshotsConsistentUnderContention) {
   // in between. Huge latency jitter spreads the reads; the writer keeps the
   // cross-dependencies churning.
   opts.net.intra_site = LinkModel{200, 4000};
+  // Explicit dependency lists: with the watermark the writer's puts drop
+  // covered deps, so y's stored deps seldom name x and round two (which
+  // reads those stored deps) would seldom trigger.
+  opts.dep_watermark = false;
   Cluster cluster(opts);
 
   ChainReactionClient* writer = cluster.crx_client(0);

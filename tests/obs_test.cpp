@@ -1,15 +1,18 @@
 // Observability unit tests: histogram edge cases (the metrics layer leans on
 // Merge/Percentile), registry instrument identity + concurrency, snapshot
-// queries and renderings, trace header wire format, and collector merging.
+// queries and renderings, trace header wire format, collector merging, and
+// the client session gauges.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/histogram.h"
+#include "src/harness/cluster.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -391,6 +394,34 @@ TEST(TraceHopHelper, NoOpWithoutActiveTraceOrSink) {
   ASSERT_EQ(active.hops.size(), 1u);  // annotates even with no collector
   TraceHopAndReport(nullptr, &col, HopKind::kClientPut, 1, 0, 0, 10);
   EXPECT_EQ(col.size(), 0u);
+}
+
+// Client session gauges ------------------------------------------------------
+
+// crx_client_metadata_keys reports the session's per-key metadata map as of
+// its last put, next to crx_client_accessed_keys; with the watermark's
+// sweeps it stays bounded while the keys written keep growing.
+TEST(ClientGauges, MetadataKeysGaugeTracksSessionMap) {
+  ClusterOptions opts;
+  opts.servers_per_dc = 8;
+  opts.clients_per_dc = 1;
+  Cluster cluster(opts);
+  ChainReactionClient* client = cluster.crx_client(0);
+  const std::string labels = "client=" + std::to_string(client->address());
+
+  size_t entries_at_last_put = 0;
+  for (int i = 0; i < 200; ++i) {
+    entries_at_last_put = client->metadata_entries();
+    client->Put("gauge-" + std::to_string(i), "v", [](const auto&) {});
+    cluster.sim()->Run();
+  }
+  const MetricsSnapshot snap = cluster.metrics()->Snapshot();
+  ASSERT_NE(snap.Find("crx_client_metadata_keys", labels), nullptr);
+  EXPECT_EQ(snap.Value("crx_client_metadata_keys", labels),
+            static_cast<int64_t>(entries_at_last_put));
+  EXPECT_GT(entries_at_last_put, 0u);
+  EXPECT_LT(entries_at_last_put, 128u);
+  EXPECT_EQ(snap.Value("crx_client_accessed_keys", labels), 1);
 }
 
 }  // namespace

@@ -55,10 +55,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u),   // R
                        ::testing::Values(1u, 2u, 3u),       // k
                        ::testing::Values(101u, 202u)),      // seed
-    [](const ::testing::TestParamInfo<CausalSweep::ParamType>& info) {
-      return "R" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
+    [](const ::testing::TestParamInfo<CausalSweep::ParamType>& param_info) {
+      return "R" + std::to_string(std::get<0>(param_info.param)) + "_k" +
+             std::to_string(std::get<1>(param_info.param)) + "_s" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -96,10 +96,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(static_cast<uint16_t>(2), static_cast<uint16_t>(3)),
                        ::testing::Values('A', 'B'),
                        ::testing::Values(11u, 12u)),
-    [](const ::testing::TestParamInfo<GeoSweep::ParamType>& info) {
-      return "dc" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::string(1, std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
+    [](const ::testing::TestParamInfo<GeoSweep::ParamType>& param_info) {
+      return "dc" + std::to_string(std::get<0>(param_info.param)) + "_" +
+             std::string(1, std::get<1>(param_info.param)) + "_s" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -139,9 +139,9 @@ TEST_P(FailureSweep, SurvivesCrashes) {
 INSTANTIATE_TEST_SUITE_P(VictimsSeeds, FailureSweep,
                          ::testing::Combine(::testing::Values(1u, 2u, 3u),
                                             ::testing::Values(41u, 42u)),
-                         [](const ::testing::TestParamInfo<FailureSweep::ParamType>& info) {
-                           return "kill" + std::to_string(std::get<0>(info.param)) + "_s" +
-                                  std::to_string(std::get<1>(info.param));
+                         [](const ::testing::TestParamInfo<FailureSweep::ParamType>& param_info) {
+                           return "kill" + std::to_string(std::get<0>(param_info.param)) + "_s" +
+                                  std::to_string(std::get<1>(param_info.param));
                          });
 
 // ---------------------------------------------------------------------------
@@ -294,8 +294,8 @@ TEST_P(WatermarkDifferential, FinalStoreContentsIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WatermarkDifferential, ::testing::Values(301u, 302u, 303u),
-                         [](const ::testing::TestParamInfo<uint64_t>& info) {
-                           return "s" + std::to_string(info.param);
+                         [](const ::testing::TestParamInfo<uint64_t>& param_info) {
+                           return "s" + std::to_string(param_info.param);
                          });
 
 // ---------------------------------------------------------------------------
@@ -334,9 +334,9 @@ TEST_P(AckSweep, AckPositionEqualsK) {
 INSTANTIATE_TEST_SUITE_P(RTimesK, AckSweep,
                          ::testing::Combine(::testing::Values(2u, 3u, 4u),
                                             ::testing::Values(1u, 2u, 3u, 4u)),
-                         [](const ::testing::TestParamInfo<AckSweep::ParamType>& info) {
-                           return "R" + std::to_string(std::get<0>(info.param)) + "_k" +
-                                  std::to_string(std::get<1>(info.param));
+                         [](const ::testing::TestParamInfo<AckSweep::ParamType>& param_info) {
+                           return "R" + std::to_string(std::get<0>(param_info.param)) + "_k" +
+                                  std::to_string(std::get<1>(param_info.param));
                          });
 
 }  // namespace

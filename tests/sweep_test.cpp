@@ -57,8 +57,8 @@ TEST_P(VvAlgebraSweep, PartialOrderLaws) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, VvAlgebraSweep, ::testing::Values(1, 2, 3, 5, 8),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "d" + std::to_string(info.param);
+                         [](const ::testing::TestParamInfo<size_t>& param_info) {
+                           return "d" + std::to_string(param_info.param);
                          });
 
 // ------------------------------ zipf shape ---------------------------------
@@ -95,11 +95,11 @@ TEST_P(ZipfSweep, RankFrequencyDecaysLikePowerLaw) {
 INSTANTIATE_TEST_SUITE_P(
     ItemsTheta, ZipfSweep,
     ::testing::Combine(::testing::Values(16u, 1000u, 100000u), ::testing::Values(0.5, 0.99)),
-    [](const ::testing::TestParamInfo<ZipfSweep::ParamType>& info) {
+    [](const ::testing::TestParamInfo<ZipfSweep::ParamType>& param_info) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "n%llu_t%d",
-                    static_cast<unsigned long long>(std::get<0>(info.param)),
-                    static_cast<int>(std::get<1>(info.param) * 100));
+                    static_cast<unsigned long long>(std::get<0>(param_info.param)),
+                    static_cast<int>(std::get<1>(param_info.param) * 100));
       return std::string(buf);
     });
 
@@ -128,8 +128,8 @@ TEST_P(HistogramErrorSweep, PercentileWithinRelativeErrorBound) {
 
 INSTANTIATE_TEST_SUITE_P(Scales, HistogramErrorSweep,
                          ::testing::Values(100, 10000, 1000000, int64_t{1} << 30),
-                         [](const ::testing::TestParamInfo<int64_t>& info) {
-                           return "s" + std::to_string(info.index);
+                         [](const ::testing::TestParamInfo<int64_t>& param_info) {
+                           return "s" + std::to_string(param_info.index);
                          });
 
 // --------------------------- node recovery ---------------------------------
