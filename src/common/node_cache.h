@@ -6,8 +6,8 @@
 // to the next insert makes the steady state allocation-free while keeping
 // the container's semantics (and its debug-mode checks) intact.
 //
-// Works with std::map / std::unordered_map / std::set / std::unordered_set
-// (anything with the C++17 extract()/insert(node_type) API). Single slot on
+// Works with std::map / std::unordered_map (anything with the C++17
+// extract()/insert(node_type) API and a mapped value). Single slot on
 // purpose: insert/erase on these paths interleave one-for-one, so one spare
 // node captures nearly all of the churn without growing a freelist.
 #ifndef SRC_COMMON_NODE_CACHE_H_
@@ -57,36 +57,6 @@ class MapNodeCache {
 
  private:
   typename Map::node_type spare_;
-};
-
-template <typename Set>
-class SetNodeCache {
- public:
-  void Insert(Set& set, const typename Set::key_type& key) {
-    if (!spare_.empty()) {
-      if (set.find(key) != set.end()) {
-        return;
-      }
-      spare_.value() = key;
-      auto res = set.insert(std::move(spare_));
-      if (!res.inserted) {
-        spare_ = std::move(res.node);
-      }
-      return;
-    }
-    set.insert(key);
-  }
-
-  void Erase(Set& set, typename Set::iterator it) {
-    if (spare_.empty()) {
-      spare_ = set.extract(it);
-      return;
-    }
-    set.erase(it);
-  }
-
- private:
-  typename Set::node_type spare_;
 };
 
 }  // namespace chainreaction

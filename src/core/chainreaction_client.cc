@@ -379,15 +379,21 @@ void ChainReactionClient::HandleGetReply(const CrxGetReplyView& reply) {
 
   if (reply.found) {
     const Key key(reply.key);  // materialized once; the view dies with the call
-    const ChainIndex new_index = reply.stable ? config_.replication : reply.position;
     auto md = metadata_.find(key);
-    if (md == metadata_.end()) {
-      metadata_[key] = KeyMetadata{reply.version, new_index};
+    if (reply.stable) {
+      // A DC-Write-Stable version is on every replica, so the no-metadata
+      // rule (read any chain node) already returns it or something newer:
+      // record nothing, and drop an entry this version supersedes.
+      if (md != metadata_.end() && !reply.version.LwwLess(md->second.version)) {
+        metadata_.erase(md);
+      }
+    } else if (md == metadata_.end()) {
+      metadata_[key] = KeyMetadata{reply.version, reply.position};
       MaybeSweepMetadata();
     } else if (md->second.version == reply.version) {
-      md->second.chain_index = std::max(md->second.chain_index, new_index);
+      md->second.chain_index = std::max(md->second.chain_index, reply.position);
     } else if (md->second.version.LwwLess(reply.version)) {
-      md->second = KeyMetadata{reply.version, new_index};
+      md->second = KeyMetadata{reply.version, reply.position};
     }
     // else: the node answered with an older version than our causal past —
     // only possible in kAnyNodeUnsafe mode; keep the stronger metadata.

@@ -4,12 +4,12 @@
 //   * Per-key metadata (version, chain_index): the newest version of the key
 //     this session causally depends on, and how many chain-prefix nodes are
 //     known to have applied it. Reads are load-balanced uniformly over that
-//     prefix; a reply carrying a DC-Write-Stable version widens the prefix
-//     to the whole chain. An entry known DC-Write-Stable (chain_index == R,
-//     or covered by the cluster watermark) is forgotten at the next sweep:
-//     a key with no entry is read from any chain node, which is exactly
-//     what a stable entry allows, so the map bounds itself by the unstable
-//     window instead of by the session's history.
+//     prefix. A key with no entry is read from any chain node, which is
+//     exactly what a DC-Write-Stable version allows: a read reply carrying
+//     a stable version records nothing (and drops an entry it supersedes),
+//     and an entry known stable (an ack at position R, or covered by the
+//     cluster watermark) is forgotten at the next sweep, so the map bounds
+//     itself by the unstable window instead of by the session's history.
 //   * The accessed-set: COPS-style nearest dependencies — every key
 //     read/written since the session's last write. It is attached to the
 //     next put and collapses to {written key} once that put is acked

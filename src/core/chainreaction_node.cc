@@ -51,14 +51,16 @@ void ChainReactionNode::RebuildRecoveredState() {
   // Rebuild the stability cache and unstable-head tracking from the store.
   // Metadata-only accessors keep this O(index) under a disk engine — the
   // scan never faults values in from the log.
-  store_.ForEachKey([this](const Key& key, const StoredVersion& latest) {
-    if (const StoredVersion* stable = store_.LatestStableMeta(key)) {
-      stable_vv_[key].MergeMax(stable->version.vv);
+  store_.ForEachRecord([this](KeyRecord& rec) {
+    if (const StoredVersion* stable = store_.LatestStableMeta(rec)) {
+      rec.slots.stable_vv.MergeMax(stable->version.vv);
     }
-    if (store_.HasUnstable(key) && ring_.PositionOf(key, id_) == 1) {
-      unstable_head_keys_.insert(key);
+    if (store_.HasUnstable(rec) && ring_.PositionOf(rec.key(), id_) == 1 &&
+        rec.slots.unstable_head == 0) {
+      unstable_heads_.push_back(&rec);
+      rec.slots.unstable_head = static_cast<uint32_t>(unstable_heads_.size());
     }
-    lamport_ = std::max(lamport_, latest.version.lamport);
+    lamport_ = std::max(lamport_, store_.LatestMeta(rec)->version.lamport);
   });
 }
 
@@ -171,25 +173,25 @@ void ChainReactionNode::CrashDurability() {
   }
 }
 
-bool ChainReactionNode::DurableApply(const Key& key, std::string_view value,
+bool ChainReactionNode::DurableApply(KeyRecord& rec, std::string_view value,
                                      const Version& version,
                                      std::span<const Dependency> deps) {
   // Write-ahead: the record hits the log before the store. Versions already
   // present (retries, repair re-propagation) are already logged.
-  if (wal_ != nullptr && store_.FindMeta(key, version) == nullptr) {
-    CheckWalAppend(wal_->AppendApply(key, value, version, deps));
+  if (wal_ != nullptr && store_.FindMeta(rec, version) == nullptr) {
+    CheckWalAppend(wal_->AppendApply(rec.key(), value, version, deps));
   }
-  return store_.Apply(key, value, version, deps);
+  return store_.Apply(rec, value, version, deps);
 }
 
-void ChainReactionNode::DurableMarkStable(const Key& key, const Version& version) {
+void ChainReactionNode::DurableMarkStable(KeyRecord& rec, const Version& version) {
   if (wal_ != nullptr) {
-    const StoredVersion* sv = store_.FindMeta(key, version);
+    const StoredVersion* sv = store_.FindMeta(rec, version);
     if (sv == nullptr || !sv->stable) {
-      CheckWalAppend(wal_->AppendStable(key, version));
+      CheckWalAppend(wal_->AppendStable(rec.key(), version));
     }
   }
-  store_.MarkStable(key, version);
+  store_.MarkStable(rec, version);
 }
 
 void ChainReactionNode::CheckWalAppend(const Status& status) {
@@ -286,7 +288,7 @@ void ChainReactionNode::OnMessage(Address from, std::string_view payload) {
   // handed out while processing the previous message is still referenced.
   arena_.Reset();
   switch (PeekType(payload)) {
-    // The three hot types decode into views aliasing `payload` — zero
+    // The four hot types decode into views aliasing `payload` — zero
     // copies of key/value bytes until the store takes its single owned
     // copy. `payload` outlives the handler call (transport contract), and
     // the views never escape it (parking goes through ToOwned()).
@@ -330,8 +332,14 @@ void ChainReactionNode::OnMessage(Address from, std::string_view payload) {
       break;
     }
     case MsgType::kCrxStableNotify: {
-      CrxStableNotify m;
-      if (DecodeMessage(payload, &m)) {
+      CrxStableNotifyView m;
+      bool ok;
+      {
+        AllocPhaseScope phase(AllocPhase::kDecode);
+        ok = DecodeMessage(payload, &m);
+      }
+      if (ok) {
+        AllocPhaseScope phase(AllocPhase::kApply);
         HandleStableNotify(m, from);
       }
       break;
@@ -419,7 +427,8 @@ void ChainReactionNode::OnMessage(Address from, std::string_view payload) {
   }
 }
 
-bool ChainReactionNode::DepTriviallyStable(const Key& write_key, const Dependency& dep) const {
+bool ChainReactionNode::DepTriviallyStable(std::string_view write_key,
+                                           const Dependency& dep) const {
   if (dep.version.IsNull()) {
     return true;
   }
@@ -446,34 +455,43 @@ bool ChainReactionNode::DepTriviallyStable(const Key& write_key, const Dependenc
       dep.version.lamport <= ClusterWatermark()) {
     return true;
   }
-  auto it = stable_vv_.find(dep.key);
-  return it != stable_vv_.end() && it->second.Dominates(dep.version.vv);
+  const KeyRecord* rec = store_.Lookup(dep.key);
+  return rec != nullptr && rec->slots.StableCovers(dep.version.vv);
 }
 
-bool ChainReactionNode::DepStableHere(const Key& key, const Version& v) const {
-  auto it = stable_vv_.find(key);
-  if (it != stable_vv_.end() && it->second.Dominates(v.vv)) {
+bool ChainReactionNode::DepStableHere(const KeyRecord* rec, const Version& v) const {
+  if (rec == nullptr) {
+    return false;
+  }
+  if (rec->slots.StableCovers(v.vv)) {
     return true;
   }
-  const StoredVersion* latest_stable = store_.LatestStableMeta(key);
+  const StoredVersion* latest_stable = store_.LatestStableMeta(*rec);
   return latest_stable != nullptr && v.LwwLess(latest_stable->version);
 }
 
-bool ChainReactionNode::ReadSatisfies(const Key& key, const Version& v) const {
-  if (v.IsNull() || store_.HasAtLeast(key, v)) {
+bool ChainReactionNode::ReadSatisfies(const KeyRecord* rec, const Version& v) const {
+  if (v.IsNull()) {
     return true;
   }
-  const StoredVersion* latest = store_.LatestMeta(key);
+  if (rec == nullptr) {
+    return false;
+  }
+  if (store_.HasAtLeast(*rec, v)) {
+    return true;
+  }
+  const StoredVersion* latest = store_.LatestMeta(*rec);
   return latest != nullptr && v.LwwLess(latest->version);
 }
 
 void ChainReactionNode::HandlePut(CrxPutView& put) {
-  // The one Key materialization for this put (SSO covers typical keys, so
-  // even this usually costs no allocation).
-  const Key key(put.key);
+  // The key stays a view of the frame: the record lookup takes the view,
+  // and anything kept past this call uses the record's own copy.
+  const std::string_view key = put.key;
+  const Ring::Placement at = ring_.Locate(key, id_);
   // A client with a stale ring may address the wrong node; route onward.
-  if (ring_.PositionOf(key, id_) != 1) {
-    env_->Send(ring_.HeadFor(key), Enc(put));
+  if (at.position != 1) {
+    env_->Send(at.head(), Enc(put));
     return;
   }
 
@@ -498,7 +516,7 @@ void ChainReactionNode::HandlePut(CrxPutView& put) {
   // successor absorbing a crashed head's slot). Assigning from a stale
   // per-key vv would fork the version order, so park puts until the repair
   // syncs land.
-  if (env_->Now() < rejoin_until_ || IsJoinGuarded(key)) {
+  if (env_->Now() < rejoin_until_ || IsJoinGuarded(key, at.position)) {
     rejoin_buffered_puts_.push_back(put.ToOwned());
     events_.Emit(EventKind::kPutParked, env_->Now(), static_cast<int64_t>(Fnv1a64(key)),
                  static_cast<int64_t>(rejoin_buffered_puts_.size()));
@@ -507,15 +525,17 @@ void ChainReactionNode::HandlePut(CrxPutView& put) {
 
   // Retry dedup: the version was already assigned; re-propagate it so the
   // ack (and stabilization) is regenerated, but do not assign a new version.
+  KeyRecord* rec = store_.Lookup(key);
   if (const Version* seen = completed_reqs_.Find(put.client, put.req)) {
-    const StoredVersion* sv = store_.Find(key, *seen);
+    const StoredVersion* sv = rec != nullptr ? store_.Find(*rec, *seen) : nullptr;
     if (sv != nullptr) {
-      // Copy the value out first: re-propagation may stabilize the entry
-      // and trigger store GC, which can relocate the vector element a view
-      // of sv->value would dangle into.
+      // Copy the value and version out first: re-propagation may stabilize
+      // the entry and trigger store GC, which can relocate the vector
+      // element a view of sv->value would dangle into.
       const Value value_copy = sv->value;
-      ApplyVersion(key, value_copy, sv->version, put.client, put.req,
-                   config_.k_stability, put.deps, /*chain_seq=*/0, put.trace);
+      const Version version = sv->version;
+      ApplyVersion(*rec, at, value_copy, version, put.client, put.req, config_.k_stability,
+                   put.deps, /*chain_seq=*/0, put.trace);
       return;
     }
   }
@@ -557,7 +577,7 @@ void ChainReactionNode::HandlePut(CrxPutView& put) {
     }
   }
   if (pending.empty()) {
-    ApplyAndPropagate(put);
+    ApplyAndPropagate(put, rec != nullptr ? *rec : store_.Claim(key), at);
     return;
   }
 
@@ -666,8 +686,8 @@ void ChainReactionNode::HandleStabilityConfirm(const CrxStabilityConfirm& msg) {
   // Re-enter the view-based pipeline over the owned parked copy (it
   // outlives both calls below).
   CrxPutView view = CrxPutView::From(put);
-  if (ring_.PositionOf(put.key, id_) != 1 || env_->Now() < rejoin_until_ ||
-      IsJoinGuarded(put.key)) {
+  const Ring::Placement at = ring_.Locate(put.key, id_);
+  if (at.position != 1 || env_->Now() < rejoin_until_ || IsJoinGuarded(put.key, at.position)) {
     // An epoch change while the put was gated moved the key's head away from
     // this node (or guarded it): minting here would assign a version the new
     // head never sees and propagate it past the chain prefix. Re-dispatch so
@@ -678,13 +698,13 @@ void ChainReactionNode::HandleStabilityConfirm(const CrxStabilityConfirm& msg) {
     HandlePut(view);
     return;
   }
-  ApplyAndPropagate(view);
+  ApplyAndPropagate(view, store_.Claim(put.key), at);
 }
 
-void ChainReactionNode::ApplyAndPropagate(CrxPutView& put) {
-  const Key key(put.key);
+void ChainReactionNode::ApplyAndPropagate(CrxPutView& put, KeyRecord& rec,
+                                          const Ring::Placement& at) {
   Version version;
-  if (const VersionVector* applied = store_.AppliedVv(key)) {
+  if (const VersionVector* applied = store_.AppliedVv(rec)) {
     version.vv = *applied;
   } else {
     version.vv = VersionVector(config_.num_dcs);
@@ -695,26 +715,28 @@ void ChainReactionNode::ApplyAndPropagate(CrxPutView& put) {
 
   completed_reqs_.Record(put.client, put.req, version);
 
-  ApplyVersion(key, put.value, version, put.client, put.req, config_.k_stability,
+  ApplyVersion(rec, at, put.value, version, put.client, put.req, config_.k_stability,
                put.deps, /*chain_seq=*/0, std::move(put.trace));
 }
 
-bool ChainReactionNode::ApplyVersion(const Key& key, std::string_view value,
-                                     const Version& version, Address client, RequestId req,
-                                     ChainIndex ack_at, std::span<const Dependency> deps,
-                                     uint64_t chain_seq, TraceContext trace) {
-  const bool applied = DurableApply(key, value, version, deps);  // store keeps its own copy
+bool ChainReactionNode::ApplyVersion(KeyRecord& rec, const Ring::Placement& at,
+                                     std::string_view value, const Version& version,
+                                     Address client, RequestId req, ChainIndex ack_at,
+                                     std::span<const Dependency> deps, uint64_t chain_seq,
+                                     TraceContext trace) {
+  const Key& key = rec.key();
+  const bool applied = DurableApply(rec, value, version, deps);  // store keeps its own copy
   if (applied) {
     writes_applied_++;
     lamport_ = std::max(lamport_, version.lamport);
-    ResolveDeferredGets(key);
-    ResolveWatchers(key);
+    ResolveDeferredGets(rec);
+    ResolveWatchers(rec);
     if ((writes_applied_ & 0xFF) == 0) {
       RefreshStoreGauges();
     }
   }
 
-  const ChainIndex pos = ring_.PositionOf(key, id_);
+  const ChainIndex pos = at.position;
   if (pos == 0) {
     return applied;  // no longer a replica of this key (stale traffic)
   }
@@ -750,7 +772,7 @@ bool ChainReactionNode::ApplyVersion(const Key& key, std::string_view value,
   }
 
   if (pos == 1 && config_.replication > 1 && applied) {
-    TrackUnstableHead(key);
+    TrackUnstableHead(rec);
   }
 
   if (ack_at != 0 && pos == ack_at && client != 0) {
@@ -770,10 +792,10 @@ bool ChainReactionNode::ApplyVersion(const Key& key, std::string_view value,
   }
 
   if (pos == config_.replication) {
-    StabilizeAtTail(key, version, deps, version.origin == config_.local_dc, value,
+    StabilizeAtTail(rec, at, version, deps, version.origin == config_.local_dc, value,
                     std::move(trace));
   } else {
-    const NodeId succ = ring_.SuccessorFor(key, id_);
+    const NodeId succ = at.successor();
     // Down-chain forward assembled as a view: key/value bytes flow from the
     // inbound frame (or the store) straight into the encoder — the frame is
     // encoded exactly once per link and the payload is never rematerialized.
@@ -848,30 +870,36 @@ void ChainReactionNode::HandleChainPut(CrxChainPutView& msg, Address from) {
     // head re-propagates all unstable writes under the new epoch.
     return;
   }
-  const Key key(msg.key);
-  const ChainIndex pos = ring_.PositionOf(key, id_);
-  if (pos == 0) {
+  const Ring::Placement at = ring_.Locate(msg.key, id_);
+  if (at.position == 0) {
     return;
   }
+  KeyRecord& rec = store_.Claim(msg.key);
   // Arrival hop splits this link into transit (previous apply -> here) and
   // process (here -> this apply). Only for the first delivery — anti-entropy
   // re-propagation of an already-applied version is not the link's transit.
-  if (msg.trace.active() && store_.FindMeta(key, msg.version) == nullptr) {
+  if (msg.trace.active() && store_.FindMeta(rec, msg.version) == nullptr) {
     TraceHopAndReport(&msg.trace, trace_sink_, HopKind::kChainRecv, id_, config_.local_dc,
-                      pos, env_->Now(), msg.chain_seq);
+                      at.position, env_->Now(), msg.chain_seq);
   }
-  ApplyVersion(key, msg.value, msg.version, msg.client, msg.req, msg.ack_at,
-               msg.deps, msg.chain_seq, std::move(msg.trace));
+  ApplyVersion(rec, at, msg.value, msg.version, msg.client, msg.req, msg.ack_at, msg.deps,
+               msg.chain_seq, std::move(msg.trace));
 }
 
-void ChainReactionNode::StabilizeAtTail(const Key& key, const Version& version,
+void ChainReactionNode::LearnStable(KeyRecord& rec, const Version& version) {
+  DurableMarkStable(rec, version);
+  rec.slots.stable_vv.MergeMax(version.vv);
+  ResolveWatchers(rec);
+  ResolveUnstableHead(rec);
+}
+
+void ChainReactionNode::StabilizeAtTail(KeyRecord& rec, const Ring::Placement& at,
+                                        const Version& version,
                                         std::span<const Dependency> deps,
                                         bool has_local_payload, std::string_view value,
                                         TraceContext trace) {
-  DurableMarkStable(key, version);
-  stable_vv_[key].MergeMax(version.vv);
-  ResolveWatchers(key);
-  ResolveUnstableHead(key);
+  const Key& key = rec.key();
+  LearnStable(rec, version);
   TraceHopAndReport(&trace, trace_sink_, HopKind::kTailStable, id_, config_.local_dc,
                     config_.replication, env_->Now());
   if (mig_src_ != nullptr && config_.replication == 1) {
@@ -882,14 +910,14 @@ void ChainReactionNode::StabilizeAtTail(const Key& key, const Version& version,
 
   if (config_.replication > 1) {
     if (config_.stable_notify_delay <= 0) {
-      CrxStableNotify notify;
+      CrxStableNotifyView notify;
       notify.key = key;
       notify.version = version;
       notify.epoch = ring_.epoch();
       if (config_.dep_watermark) {
         notify.stable_cut = StableCut();
       }
-      const NodeId pred = ring_.PredecessorFor(key, id_);
+      const NodeId pred = at.predecessor();
       if (pred != kInvalidNode) {
         env_->Send(pred, Enc(notify));
       }
@@ -901,13 +929,14 @@ void ChainReactionNode::StabilizeAtTail(const Key& key, const Version& version,
       // The merged (possibly synthetic) version dominates every version
       // stabilized in the window — including mutually concurrent geo
       // versions — so one message marks them all stable upstream.
-      auto [it, inserted] = pending_notify_cache_.Claim(pending_notify_, key);
-      if (inserted) {
-        it->second = version;  // recycled nodes keep the old version; overwrite
-        ScheduleStableNotify(key);
+      if (rec.slots.notify_seq == 0) {
+        notify_fifo_.push_back(PendingNotify{&rec, version});
+        rec.slots.notify_seq = notify_popped_ + notify_fifo_.size();
+        env_->Schedule(config_.stable_notify_delay, [this]() { FlushStableNotify(); });
       } else {
-        it->second.vv.MergeMax(version.vv);
-        it->second.lamport = std::max(it->second.lamport, version.lamport);
+        Version& pending = notify_fifo_[rec.slots.notify_seq - 1 - notify_popped_].version;
+        pending.vv.MergeMax(version.vv);
+        pending.lamport = std::max(pending.lamport, version.lamport);
       }
     }
   }
@@ -962,52 +991,46 @@ void ChainReactionNode::ArmGeoNotifyRetry() {
   });
 }
 
-void ChainReactionNode::ScheduleStableNotify(const Key& key) {
-  // One timer per pending key, exactly like a per-key closure would fire —
-  // but the closure captures only `this` (inside std::function's inline
-  // buffer), and the key rides a FIFO instead: the delay is constant, so
-  // timers fire in arming order and each firing flushes the oldest key.
-  notify_fifo_.push_back(key);
-  env_->Schedule(config_.stable_notify_delay, [this]() { FlushStableNotify(); });
-}
-
 void ChainReactionNode::FlushStableNotify() {
   if (notify_fifo_.empty()) {
     return;
   }
-  const Key key = std::move(notify_fifo_.front());
+  // The record outlives its entry: a pending notify is a slot, and a
+  // record is erased only when every slot is empty.
+  PendingNotify entry = std::move(notify_fifo_.front());
   notify_fifo_.pop_front();
-  auto pit = pending_notify_.find(key);
-  if (pit == pending_notify_.end()) {
-    return;
-  }
-  CrxStableNotify notify;
-  notify.key = key;
-  notify.version = pit->second;
+  notify_popped_++;
+  entry.rec->slots.notify_seq = 0;
+  CrxStableNotifyView notify;
+  notify.key = entry.rec->key();
+  notify.version = std::move(entry.version);
   notify.epoch = ring_.epoch();
   if (config_.dep_watermark) {
     notify.stable_cut = StableCut();
   }
-  pending_notify_cache_.Erase(pending_notify_, pit);
-  const NodeId pred = ring_.PredecessorFor(key, id_);
+  const NodeId pred = ring_.PredecessorFor(notify.key, id_);
   if (pred != kInvalidNode) {
     env_->Send(pred, Enc(notify));
   }
 }
 
-void ChainReactionNode::HandleStableNotify(const CrxStableNotify& msg, Address from) {
+void ChainReactionNode::HandleStableNotify(CrxStableNotifyView& msg, Address from) {
   if (config_.dep_watermark) {
     if (from < kClientAddressBase && msg.stable_cut > 0) {
       LearnPeerCut(static_cast<NodeId>(from), msg.epoch, msg.stable_cut);
     }
     NudgeWatermarkGossip();
   }
-  DurableMarkStable(msg.key, msg.version);
-  stable_vv_[msg.key].MergeMax(msg.version.vv);
-  ResolveWatchers(msg.key);
-  ResolveUnstableHead(msg.key);
-
-  const ChainIndex pos = ring_.PositionOf(msg.key, id_);
+  const Ring::Placement at = ring_.Locate(msg.key, id_);
+  const ChainIndex pos = at.position;
+  // A notify that outlived an epoch change may name a key this node no
+  // longer replicates; if it holds nothing for it either, there is nothing
+  // to mark, and no record is made for it.
+  KeyRecord* rec = pos != 0 ? &store_.Claim(msg.key) : store_.Lookup(msg.key);
+  if (rec == nullptr) {
+    return;
+  }
+  LearnStable(*rec, msg.version);
   if (pos == 1 && mig_src_ != nullptr) {
     // Mirror the stability mark to the key's future replicas so they can
     // serve dependency checks and geo shipping right after cutover.
@@ -1015,20 +1038,19 @@ void ChainReactionNode::HandleStableNotify(const CrxStableNotify& msg, Address f
                          /*stable=*/true, {});
   }
   if (pos > 1) {
-    const NodeId pred = ring_.PredecessorFor(msg.key, id_);
+    const NodeId pred = at.predecessor();
     if (pred != kInvalidNode) {
-      CrxStableNotify fwd = msg;
       if (config_.dep_watermark) {
         // Restamp: the receiver attributes the piggybacked cut to us.
-        fwd.stable_cut = StableCut();
+        msg.stable_cut = StableCut();
       }
-      env_->Send(pred, Enc(fwd));
+      env_->Send(pred, Enc(msg));
     }
   }
 }
 
 void ChainReactionNode::HandleStabilityCheck(const CrxStabilityCheck& msg, Address from) {
-  if (DepStableHere(msg.key, msg.version)) {
+  if (DepStableHere(store_.Lookup(msg.key), msg.version)) {
     CrxStabilityConfirm confirm;
     confirm.token = msg.token;
     confirm.key = msg.key;
@@ -1038,17 +1060,20 @@ void ChainReactionNode::HandleStabilityCheck(const CrxStabilityCheck& msg, Addre
   watchers_[msg.key].push_back(StabilityWatcher{msg.version, msg.token, from});
 }
 
-void ChainReactionNode::ResolveWatchers(const Key& key) {
-  auto wit = watchers_.find(key);
+void ChainReactionNode::ResolveWatchers(const KeyRecord& rec) {
+  if (watchers_.empty()) {
+    return;
+  }
+  auto wit = watchers_.find(rec.key());
   if (wit == watchers_.end()) {
     return;
   }
   auto& list = wit->second;
   for (size_t i = 0; i < list.size();) {
-    if (DepStableHere(key, list[i].version)) {
+    if (DepStableHere(&rec, list[i].version)) {
       CrxStabilityConfirm confirm;
       confirm.token = list[i].token;
-      confirm.key = key;
+      confirm.key = rec.key();
       env_->Send(list[i].reply_to, Enc(confirm));
       list[i] = list.back();
       list.pop_back();
@@ -1062,15 +1087,16 @@ void ChainReactionNode::ResolveWatchers(const Key& key) {
 }
 
 void ChainReactionNode::HandleGet(const CrxGetView& get, Address /*from*/) {
-  const Key key(get.key);
-  const ChainIndex pos = ring_.PositionOf(key, id_);
+  const std::string_view key = get.key;
+  const Ring::Placement at = ring_.Locate(key, id_);
+  const ChainIndex pos = at.position;
   if (pos == 0) {
     // Stale client ring: route to the current head.
     gets_forwarded_++;
     if (m_gets_forwarded_ != nullptr) {
       m_gets_forwarded_->Inc();
     }
-    env_->Send(ring_.HeadFor(key), Enc(get));
+    env_->Send(at.head(), Enc(get));
     return;
   }
 
@@ -1082,13 +1108,13 @@ void ChainReactionNode::HandleGet(const CrxGetView& get, Address /*from*/) {
   // dependencies. Serve from an established replica instead: escalate
   // toward the predecessor, or — at the head — park the read until the
   // guard window closes.
-  if (IsJoinGuarded(key)) {
+  if (IsJoinGuarded(key, pos)) {
     if (pos > 1) {
       gets_forwarded_++;
       if (m_gets_forwarded_ != nullptr) {
         m_gets_forwarded_->Inc();
       }
-      env_->Send(ring_.PredecessorFor(key, id_), Enc(get));
+      env_->Send(at.predecessor(), Enc(get));
     } else {
       join_guarded_gets_.push_back(get.ToOwned());
       events_.Emit(EventKind::kGetParked, env_->Now(), static_cast<int64_t>(Fnv1a64(key)),
@@ -1097,7 +1123,8 @@ void ChainReactionNode::HandleGet(const CrxGetView& get, Address /*from*/) {
     return;
   }
 
-  if (!ReadSatisfies(key, get.min_version)) {
+  const KeyRecord* rec = store_.Lookup(key);
+  if (!ReadSatisfies(rec, get.min_version)) {
     if (pos > 1) {
       // This replica is behind the client's causal past (possible briefly
       // during chain repair); escalate toward the head, which applies
@@ -1106,7 +1133,7 @@ void ChainReactionNode::HandleGet(const CrxGetView& get, Address /*from*/) {
       if (m_gets_forwarded_ != nullptr) {
         m_gets_forwarded_->Inc();
       }
-      env_->Send(ring_.PredecessorFor(key, id_), Enc(get));
+      env_->Send(at.predecessor(), Enc(get));
       return;
     }
     // Even the head is behind: the required version is still in flight
@@ -1114,7 +1141,8 @@ void ChainReactionNode::HandleGet(const CrxGetView& get, Address /*from*/) {
     DeferredGet deferred;
     deferred.get = get.ToOwned();
     const RequestId req = get.req;
-    deferred.timeout_timer = env_->Schedule(config_.deferred_read_timeout, [this, key, req]() {
+    deferred.timeout_timer = env_->Schedule(config_.deferred_read_timeout,
+                                            [this, key = deferred.get.key, req]() {
       auto it = deferred_gets_.find(key);
       if (it == deferred_gets_.end()) {
         return;
@@ -1127,7 +1155,7 @@ void ChainReactionNode::HandleGet(const CrxGetView& get, Address /*from*/) {
             list[i] = std::move(list.back());
           }
           list.pop_back();
-          AnswerGet(CrxGetView::From(g), ring_.PositionOf(g.key, id_));
+          AnswerGet(CrxGetView::From(g), ring_.PositionOf(g.key, id_), store_.Lookup(g.key));
           break;
         }
       }
@@ -1135,22 +1163,22 @@ void ChainReactionNode::HandleGet(const CrxGetView& get, Address /*from*/) {
         deferred_gets_.erase(key);
       }
     });
-    deferred_gets_[key].push_back(std::move(deferred));
+    deferred_gets_[deferred.get.key].push_back(std::move(deferred));
     return;
   }
 
-  AnswerGet(get, pos);
+  AnswerGet(get, pos, rec);
 }
 
-void ChainReactionNode::AnswerGet(const CrxGetView& get, ChainIndex position) {
-  const Key key(get.key);
+void ChainReactionNode::AnswerGet(const CrxGetView& get, ChainIndex position,
+                                  const KeyRecord* rec) {
   // Reply assembled as a view: the answered value aliases the store entry,
   // which stays untouched until Enc() below copies it into the frame.
   CrxGetReplyView reply;
   reply.req = get.req;
   reply.key = get.key;
   reply.position = position;
-  if (const StoredVersion* sv = store_.Latest(key)) {
+  if (const StoredVersion* sv = rec != nullptr ? store_.Latest(*rec) : nullptr) {
     reply.found = true;
     reply.value = sv->value;
     reply.version = sv->version;
@@ -1174,21 +1202,24 @@ void ChainReactionNode::AnswerGet(const CrxGetView& get, ChainIndex position) {
   env_->Send(get.client, Enc(reply));
 }
 
-void ChainReactionNode::ResolveDeferredGets(const Key& key) {
-  auto it = deferred_gets_.find(key);
+void ChainReactionNode::ResolveDeferredGets(const KeyRecord& rec) {
+  if (deferred_gets_.empty()) {
+    return;
+  }
+  auto it = deferred_gets_.find(rec.key());
   if (it == deferred_gets_.end()) {
     return;
   }
   auto& list = it->second;
   for (size_t i = 0; i < list.size();) {
-    if (ReadSatisfies(key, list[i].get.min_version)) {
+    if (ReadSatisfies(&rec, list[i].get.min_version)) {
       env_->CancelTimer(list[i].timeout_timer);
       CrxGet g = std::move(list[i].get);
       if (i + 1 != list.size()) {
         list[i] = std::move(list.back());
       }
       list.pop_back();
-      AnswerGet(CrxGetView::From(g), ring_.PositionOf(g.key, id_));
+      AnswerGet(CrxGetView::From(g), ring_.PositionOf(g.key, id_), &rec);
     } else {
       ++i;
     }
@@ -1198,31 +1229,40 @@ void ChainReactionNode::ResolveDeferredGets(const Key& key) {
   }
 }
 
-void ChainReactionNode::TrackUnstableHead(const Key& key) {
-  // Every head put lands here and the stabilization notify erases it a few
-  // ms later — recycled nodes keep this churn allocation-free.
-  unstable_keys_cache_.Insert(unstable_head_keys_, key);
-  auto [sit, fresh] = unstable_since_cache_.Claim(unstable_since_, key);
-  if (fresh) {
-    sit->second = env_->Now();
+void ChainReactionNode::TrackUnstableHead(KeyRecord& rec) {
+  // Every head put lands here and the stabilization notify takes it off a
+  // few ms later: a list append and a slot write, no allocation.
+  if (rec.slots.unstable_head == 0) {
+    unstable_heads_.push_back(&rec);
+    rec.slots.unstable_head = static_cast<uint32_t>(unstable_heads_.size());
+  }
+  if (rec.slots.unstable_since < 0) {
+    rec.slots.unstable_since = env_->Now();
   }
   ArmAntiEntropy();
 }
 
-void ChainReactionNode::ResolveUnstableHead(const Key& key) {
-  auto it = unstable_head_keys_.find(key);
-  if (it == unstable_head_keys_.end()) {
+void ChainReactionNode::DropUnstableHead(KeyRecord& rec) {
+  if (rec.slots.unstable_head == 0) {
     return;
   }
-  if (store_.HasUnstable(key)) {
+  // Swap-remove: the last listed record takes this one's index.
+  KeyRecord* last = unstable_heads_.back();
+  unstable_heads_[rec.slots.unstable_head - 1] = last;
+  last->slots.unstable_head = rec.slots.unstable_head;
+  unstable_heads_.pop_back();
+  rec.slots.unstable_head = 0;
+  rec.slots.unstable_since = -1;
+}
+
+void ChainReactionNode::ResolveUnstableHead(KeyRecord& rec) {
+  if (rec.slots.unstable_head == 0 || store_.HasUnstable(rec)) {
     return;
   }
-  unstable_keys_cache_.Erase(unstable_head_keys_, it);
   // Head->tail stabilization lag sample for this key, folded into the EWMA
   // the dep-stall watchdog compares against (alpha = 1/8).
-  if (auto since = unstable_since_.find(key); since != unstable_since_.end()) {
-    const int64_t lag = static_cast<int64_t>(env_->Now() - since->second);
-    unstable_since_cache_.Erase(unstable_since_, since);
+  if (rec.slots.unstable_since >= 0) {
+    const int64_t lag = static_cast<int64_t>(env_->Now() - rec.slots.unstable_since);
     if (lag >= 0) {
       chain_lag_ewma_us_ = chain_lag_ewma_us_ == 0 ? lag : (7 * chain_lag_ewma_us_ + lag) / 8;
       if (m_chain_lag_ != nullptr) {
@@ -1230,7 +1270,8 @@ void ChainReactionNode::ResolveUnstableHead(const Key& key) {
       }
     }
   }
-  if (unstable_head_keys_.empty() && anti_entropy_timer_ != 0) {
+  DropUnstableHead(rec);
+  if (unstable_heads_.empty() && anti_entropy_timer_ != 0) {
     env_->CancelTimer(anti_entropy_timer_);
     anti_entropy_timer_ = 0;
   }
@@ -1238,7 +1279,7 @@ void ChainReactionNode::ResolveUnstableHead(const Key& key) {
 
 void ChainReactionNode::ArmAntiEntropy() {
   if (anti_entropy_timer_ != 0 || config_.anti_entropy_interval <= 0 ||
-      unstable_head_keys_.empty()) {
+      unstable_heads_.empty()) {
     return;
   }
   anti_entropy_timer_ = env_->Schedule(config_.anti_entropy_interval, [this]() {
@@ -1249,20 +1290,21 @@ void ChainReactionNode::ArmAntiEntropy() {
 }
 
 void ChainReactionNode::RunAntiEntropy() {
-  std::vector<Key> done;
-  for (const Key& key : unstable_head_keys_) {
-    if (ring_.PositionOf(key, id_) != 1) {
-      done.push_back(key);  // chain moved; the new head owns re-propagation
+  std::vector<KeyRecord*> done;
+  for (KeyRecord* rec : unstable_heads_) {
+    const Ring::Placement at = ring_.Locate(rec->key(), id_);
+    if (at.position != 1) {
+      done.push_back(rec);  // chain moved; the new head owns re-propagation
       continue;
     }
-    const std::vector<StoredVersion> unstable = store_.UnstableVersions(key);
+    const std::vector<StoredVersion> unstable = store_.UnstableVersions(*rec);
     if (unstable.empty()) {
-      done.push_back(key);
+      done.push_back(rec);
       continue;
     }
     for (const StoredVersion& sv : unstable) {
       CrxChainPut fwd;
-      fwd.key = key;
+      fwd.key = rec->key();
       fwd.value = sv.value;
       fwd.version = sv.version;
       fwd.client = 0;
@@ -1273,22 +1315,22 @@ void ChainReactionNode::RunAntiEntropy() {
       if (config_.dep_watermark) {
         fwd.stable_cut = StableCut();
       }
-      env_->Send(ring_.SuccessorFor(key, id_), Enc(fwd));
+      env_->Send(at.successor(), Enc(fwd));
     }
   }
-  for (const Key& key : done) {
-    unstable_head_keys_.erase(key);
-    unstable_since_.erase(key);  // ownership moved or resolved: no lag sample
+  for (KeyRecord* rec : done) {
+    DropUnstableHead(*rec);  // ownership moved or resolved: no lag sample
   }
 }
 
 void ChainReactionNode::HandleRemotePut(GeoRemotePut msg) {
-  if (ring_.PositionOf(msg.key, id_) != 1) {
-    env_->Send(ring_.HeadFor(msg.key), EncodeMessage(msg));
+  const Ring::Placement at = ring_.Locate(msg.key, id_);
+  if (at.position != 1) {
+    env_->Send(at.head(), EncodeMessage(msg));
     return;
   }
-  ApplyVersion(msg.key, msg.value, msg.version, /*client=*/0, /*req=*/0, /*ack_at=*/0,
-               msg.deps, /*chain_seq=*/0, std::move(msg.trace));
+  ApplyVersion(store_.Claim(msg.key), at, msg.value, msg.version, /*client=*/0, /*req=*/0,
+               /*ack_at=*/0, msg.deps, /*chain_seq=*/0, std::move(msg.trace));
 }
 
 void ChainReactionNode::HandleNewMembership(const MemNewMembership& msg) {
@@ -1330,14 +1372,12 @@ void ChainReactionNode::HandleNewMembership(const MemNewMembership& msg) {
     // re-driven by nobody — anti-entropy keys off *current* headship, and
     // the new head may have received them only via migration (which does
     // not register them for re-propagation).
-    ArenaVector<Key> keys{ArenaAllocator<Key>(&arena_)};
-    keys.reserve(store_.KeyCount());
-    store_.ForEachKey([&keys](const Key& key, const StoredVersion&) { keys.push_back(key); });
-    for (const Key& key : keys) {
+    store_.ForEachRecord([this, &old_ring](KeyRecord& rec) {
+      const Key& key = rec.key();
       if (old_ring.PositionOf(key, id_) != 1) {
-        continue;
+        return;
       }
-      for (const StoredVersion& sv : store_.UnstableVersions(key)) {
+      for (const StoredVersion& sv : store_.UnstableVersions(rec)) {
         CrxChainPut fwd;
         fwd.key = key;
         fwd.value = sv.value;
@@ -1349,9 +1389,10 @@ void ChainReactionNode::HandleNewMembership(const MemNewMembership& msg) {
         fwd.deps.assign(sv.deps.begin(), sv.deps.end());
         env_->Send(ring_.HeadFor(key), Enc(fwd));
       }
+    });
+    while (!unstable_heads_.empty()) {
+      DropUnstableHead(*unstable_heads_.back());
     }
-    unstable_head_keys_.clear();
-    unstable_since_.clear();
     return;  // no further traffic for this node
   }
   if (config_.rejoin_grace > 0) {
@@ -1407,9 +1448,8 @@ void ChainReactionNode::HandleNewMembership(const MemNewMembership& msg) {
   }
 }
 
-bool ChainReactionNode::IsJoinGuarded(const Key& key) const {
+bool ChainReactionNode::IsJoinGuarded(std::string_view key, ChainIndex pos) const {
   const Time now = env_->Now();
-  const ChainIndex pos = ring_.PositionOf(key, id_);
   for (const ChainJoinGuard& guard : join_guards_) {
     if (now >= guard.until) {
       continue;
@@ -1451,16 +1491,14 @@ void ChainReactionNode::RepairChains(const Ring& old_ring,
   const auto is_pre_synced = [&pre_synced](NodeId n) {
     return std::find(pre_synced.begin(), pre_synced.end(), n) != pre_synced.end();
   };
-  // Collect keys first: repair sends messages but must not mutate the store.
-  // Arena-backed scratch: dropped wholesale at the next message.
-  ArenaVector<Key> keys{ArenaAllocator<Key>(&arena_)};
-  keys.reserve(store_.KeyCount());
-  store_.ForEachKey([&keys](const Key& key, const StoredVersion&) { keys.push_back(key); });
+  // Repair sends messages and clears head slots, but never adds or erases
+  // a record, so the walk goes over the table directly.
   events_.Emit(EventKind::kRepairStart, env_->Now(), static_cast<int64_t>(ring_.epoch()),
-               static_cast<int64_t>(keys.size()));
+               static_cast<int64_t>(store_.KeyCount()));
 
   uint64_t chains_touched = 0;
-  for (const Key& key : keys) {
+  store_.ForEachRecord([&](KeyRecord& rec) {
+    const Key& key = rec.key();
     const ChainIndex pos = ring_.PositionOf(key, id_);
 
     // Headship handoff: a planned rebalance/drain can move a key's head
@@ -1471,7 +1509,7 @@ void ChainReactionNode::RepairChains(const Ring& old_ring,
     // new head, which propagates down-chain (idempotently) until the tail
     // stabilizes them.
     if (pos != 1 && old_ring.PositionOf(key, id_) == 1) {
-      for (const StoredVersion& sv : store_.UnstableVersions(key)) {
+      for (const StoredVersion& sv : store_.UnstableVersions(rec)) {
         CrxChainPut fwd;
         fwd.key = key;
         fwd.value = sv.value;
@@ -1483,11 +1521,11 @@ void ChainReactionNode::RepairChains(const Ring& old_ring,
         fwd.deps.assign(sv.deps.begin(), sv.deps.end());
         env_->Send(ring_.HeadFor(key), Enc(fwd));
       }
-      unstable_head_keys_.erase(key);
+      DropUnstableHead(rec);
     }
 
     if (pos == 0) {
-      continue;
+      return;
     }
     const std::vector<NodeId>& chain = ring_.ChainFor(key);
     chains_touched++;
@@ -1495,7 +1533,7 @@ void ChainReactionNode::RepairChains(const Ring& old_ring,
     // New head re-propagates everything not yet DC-Write-Stable so that
     // in-flight writes dropped by the epoch change reach the (new) tail.
     if (pos == 1 && config_.replication > 1) {
-      for (const StoredVersion& sv : store_.UnstableVersions(key)) {
+      for (const StoredVersion& sv : store_.UnstableVersions(rec)) {
         CrxChainPut fwd;
         fwd.key = key;
         fwd.value = sv.value;
@@ -1520,7 +1558,7 @@ void ChainReactionNode::RepairChains(const Ring& old_ring,
       const bool is_new =
           std::find(old_chain.begin(), old_chain.end(), member) == old_chain.end();
       if (is_new && chain[i - 1] == id_ && !is_pre_synced(member)) {
-        if (const StoredVersion* stable = store_.LatestStable(key)) {
+        if (const StoredVersion* stable = store_.LatestStable(rec)) {
           MemSyncKey sync;
           sync.epoch = ring_.epoch();
           sync.key = key;
@@ -1541,7 +1579,7 @@ void ChainReactionNode::RepairChains(const Ring& old_ring,
     // down the chain (idempotently) until the tail stabilizes them.
     if (chain.size() > 1 && chain[1] == id_ &&
         std::find(old_chain.begin(), old_chain.end(), chain[0]) == old_chain.end()) {
-      if (const StoredVersion* stable = store_.LatestStable(key);
+      if (const StoredVersion* stable = store_.LatestStable(rec);
           stable != nullptr && !is_pre_synced(chain[0])) {
         MemSyncKey sync;
         sync.epoch = ring_.epoch();
@@ -1551,7 +1589,7 @@ void ChainReactionNode::RepairChains(const Ring& old_ring,
         sync.stable = true;
         env_->Send(chain[0], EncodeMessage(sync));
       }
-      for (const StoredVersion& sv : store_.UnstableVersions(key)) {
+      for (const StoredVersion& sv : store_.UnstableVersions(rec)) {
         CrxChainPut fwd;
         fwd.key = key;
         fwd.value = sv.value;
@@ -1564,7 +1602,7 @@ void ChainReactionNode::RepairChains(const Ring& old_ring,
         env_->Send(chain[0], Enc(fwd));
       }
     }
-  }
+  });
   events_.Emit(EventKind::kRepairDone, env_->Now(), static_cast<int64_t>(ring_.epoch()),
                static_cast<int64_t>(chains_touched));
 }
@@ -1573,15 +1611,13 @@ void ChainReactionNode::HandleSyncKey(const MemSyncKey& msg) {
   if (msg.epoch < ring_.epoch()) {
     return;
   }
-  DurableApply(msg.key, msg.value, msg.version, {});
+  KeyRecord& rec = store_.Claim(msg.key);
+  DurableApply(rec, msg.value, msg.version, {});
   lamport_ = std::max(lamport_, msg.version.lamport);
   if (msg.stable) {
-    DurableMarkStable(msg.key, msg.version);
-    stable_vv_[msg.key].MergeMax(msg.version.vv);
-    ResolveWatchers(msg.key);
-    ResolveUnstableHead(msg.key);
+    LearnStable(rec, msg.version);
   }
-  ResolveDeferredGets(msg.key);
+  ResolveDeferredGets(rec);
 }
 
 void ChainReactionNode::HandleSyncDone(const MemSyncDone& msg) {
@@ -1629,7 +1665,7 @@ void ChainReactionNode::DrainRejoin() {
   DrainGuardedGets();
 }
 
-std::vector<NodeId> ChainReactionNode::MigrationTargetsFor(const Key& key) const {
+std::vector<NodeId> ChainReactionNode::MigrationTargetsFor(std::string_view key) const {
   std::vector<NodeId> targets;
   if (mig_src_ == nullptr || ring_.PositionOf(key, id_) != 1) {
     return targets;
@@ -1783,7 +1819,7 @@ void ChainReactionNode::StreamMigrationBatch() {
                static_cast<int64_t>(src.entries_streamed));
 }
 
-void ChainReactionNode::MirrorMigrationEntry(const Key& key, bool has_value,
+void ChainReactionNode::MirrorMigrationEntry(std::string_view key, bool has_value,
                                              std::string_view value, const Version& version,
                                              bool stable, std::span<const Dependency> deps) {
   const std::vector<NodeId> targets = MigrationTargetsFor(key);
@@ -1791,7 +1827,7 @@ void ChainReactionNode::MirrorMigrationEntry(const Key& key, bool has_value,
     return;
   }
   MigEntry entry;
-  entry.key = key;
+  entry.key = Key(key);
   entry.has_value = has_value;
   entry.value = Value(value);
   entry.version = version;
@@ -1834,16 +1870,17 @@ void ChainReactionNode::HandleMigKeyBatch(const MigKeyBatch& msg) {
   }
   MigrationInflow& inflow = it->second;
   for (const MigEntry& entry : msg.entries) {
+    KeyRecord& rec = store_.Claim(entry.key);
     if (entry.has_value) {
-      DurableApply(entry.key, entry.value, entry.version, entry.deps);
+      DurableApply(rec, entry.value, entry.version, entry.deps);
       lamport_ = std::max(lamport_, entry.version.lamport);
     }
     if (entry.stable) {
-      DurableMarkStable(entry.key, entry.version);
-      stable_vv_[entry.key].MergeMax(entry.version.vv);
-      ResolveWatchers(entry.key);
+      DurableMarkStable(rec, entry.version);
+      rec.slots.stable_vv.MergeMax(entry.version.vv);
+      ResolveWatchers(rec);
     }
-    ResolveDeferredGets(entry.key);
+    ResolveDeferredGets(rec);
     inflow.entries_applied++;
     mig_entries_in_++;
     if (m_mig_entries_in_ != nullptr) {

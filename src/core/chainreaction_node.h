@@ -23,7 +23,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -133,12 +132,14 @@ class ChainReactionNode : public Actor {
     return out;
   }
   size_t deferred_gets_pending() const { return deferred_gets_.size(); }
-  size_t unstable_head_keys_count() const { return unstable_head_keys_.size(); }
+  size_t unstable_head_keys_count() const { return unstable_heads_.size(); }
   std::string StableVvOf(const Key& key) const {
-    auto it = stable_vv_.find(key);
-    return it == stable_vv_.end() ? "(none)" : it->second.ToString();
+    const KeyRecord* rec = store_.Lookup(key);
+    return rec == nullptr || rec->slots.stable_vv.size() == 0 ? "(none)"
+                                                              : rec->slots.stable_vv.ToString();
   }
   size_t watchers_count() const { return watchers_.size(); }
+  size_t stable_notifies_pending() const { return notify_fifo_.size(); }
 
   // Watermark introspection (dep_watermark; DESIGN.md §14) ----------------
   // This node's stable cut: every locally-originated version with
@@ -198,10 +199,14 @@ class ChainReactionNode : public Actor {
   // DESIGN.md §15). Parking a request past the call materializes it with
   // ToOwned(); replay re-enters through a From() view so there is a single
   // code path. Mutable refs because handlers append trace hops in place.
+  //
+  // Each key-bearing handler resolves its key once: one ring lookup
+  // (Ring::Placement) and one store lookup (the KeyRecord handle), both
+  // passed down the call chain.
   void HandlePut(CrxPutView& put);
   void HandleChainPut(CrxChainPutView& msg, Address from);
   void HandleGet(const CrxGetView& get, Address from);
-  void HandleStableNotify(const CrxStableNotify& msg, Address from);
+  void HandleStableNotify(CrxStableNotifyView& msg, Address from);
   void HandleStabilityCheck(const CrxStabilityCheck& msg, Address from);
   void HandleStabilityConfirm(const CrxStabilityConfirm& msg);
   void HandleWatermark(const CrxWatermark& msg);
@@ -221,13 +226,13 @@ class ChainReactionNode : public Actor {
   // Planned-chain members that are not in the key's current chain (i.e.
   // would miss the data without a transfer). Empty when no migration is
   // active or this node does not head the key.
-  std::vector<NodeId> MigrationTargetsFor(const Key& key) const;
-  void MirrorMigrationEntry(const Key& key, bool has_value, std::string_view value,
+  std::vector<NodeId> MigrationTargetsFor(std::string_view key) const;
+  void MirrorMigrationEntry(std::string_view key, bool has_value, std::string_view value,
                             const Version& version, bool stable,
                             std::span<const Dependency> deps);
 
   // Assigns a version to a gated client write and starts propagation.
-  void ApplyAndPropagate(CrxPutView& put);
+  void ApplyAndPropagate(CrxPutView& put, KeyRecord& rec, const Ring::Placement& at);
 
   // Common apply path for a concrete (key, value, version); handles the
   // single-node-chain and tail special cases. Returns true if newly applied.
@@ -237,14 +242,18 @@ class ChainReactionNode : public Actor {
   // end. `deps` is borrowed for the call. `chain_seq` is the pipeline
   // sequence the write arrived with (0 at the head and for out-of-band
   // re-propagation) and feeds the cumulative ack batch.
-  bool ApplyVersion(const Key& key, std::string_view value, const Version& version,
-                    Address client, RequestId req, ChainIndex ack_at,
+  bool ApplyVersion(KeyRecord& rec, const Ring::Placement& at, std::string_view value,
+                    const Version& version, Address client, RequestId req, ChainIndex ack_at,
                     std::span<const Dependency> deps, uint64_t chain_seq, TraceContext trace);
 
   // Everything the tail must do when a version reaches it.
-  void StabilizeAtTail(const Key& key, const Version& version,
+  void StabilizeAtTail(KeyRecord& rec, const Ring::Placement& at, const Version& version,
                        std::span<const Dependency> deps, bool has_local_payload,
                        std::string_view value, TraceContext trace);
+  // Stability learned for `rec` (tail, backward notify, repair sync or
+  // migration): log and mark it, merge the stability cache, and release
+  // what waited on it.
+  void LearnStable(KeyRecord& rec, const Version& version);
 
   // Client ack path: with ack_batch_window > 0 acks are coalesced per
   // client into one cumulative CrxPutAckBatch per window; otherwise each
@@ -252,35 +261,37 @@ class ChainReactionNode : public Actor {
   void SendClientAck(CrxPutAck ack, Address client, uint64_t chain_seq);
   void FlushClientAcks(Address client);
 
-  void ResolveWatchers(const Key& key);
-  void ScheduleStableNotify(const Key& key);
+  void ResolveWatchers(const KeyRecord& rec);
   void FlushStableNotify();
-  void TrackUnstableHead(const Key& key);
-  void ResolveUnstableHead(const Key& key);
+  void TrackUnstableHead(KeyRecord& rec);
+  void ResolveUnstableHead(KeyRecord& rec);
+  // Takes `rec` off the unstable-head list (no lag sample).
+  void DropUnstableHead(KeyRecord& rec);
   void ArmAntiEntropy();
   void RunAntiEntropy();
   void SendGeoNotify(const GeoLocalStable& msg);
   void SendHeartbeat();
   void HandleGeoNotifyAck(const GeoLocalStableAck& msg);
   void ArmGeoNotifyRetry();
-  void ResolveDeferredGets(const Key& key);
-  void AnswerGet(const CrxGetView& get, ChainIndex position);
+  void ResolveDeferredGets(const KeyRecord& rec);
+  // Answers from `rec` (nullptr: the key holds nothing here).
+  void AnswerGet(const CrxGetView& get, ChainIndex position, const KeyRecord* rec);
 
   // True if the dependency does not need a remote stability confirmation:
   // null versions, and dependencies living on this exact chain (the FIFO
   // down-chain link already serializes them before the new write).
-  bool DepTriviallyStable(const Key& write_key, const Dependency& dep) const;
+  bool DepTriviallyStable(std::string_view write_key, const Dependency& dep) const;
 
   // Causal+ stability predicate: `v` is marked stable here, OR a stable
   // LWW-newer version supersedes it (convergent conflict handling lets the
   // LWW winner stand in for a concurrent loser, which may even have been
   // garbage-collected).
-  bool DepStableHere(const Key& key, const Version& v) const;
+  bool DepStableHere(const KeyRecord* rec, const Version& v) const;
 
   // Read-freshness predicate: this node can answer a read that causally
   // requires `v` (it applied v's causal past, or holds an LWW-newer
   // version that convergence resolves to).
-  bool ReadSatisfies(const Key& key, const Version& v) const;
+  bool ReadSatisfies(const KeyRecord* rec, const Version& v) const;
 
   // Chain-repair duties after a membership change. `pre_synced` lists
   // nodes a planned migration already streamed data to; stable-version
@@ -291,9 +302,9 @@ class ChainReactionNode : public Actor {
   // Write-ahead wrappers around the store: log the mutation (when it is not
   // already durable) before applying it. All protocol-path mutations go
   // through these; recovery replays write to store_ directly.
-  bool DurableApply(const Key& key, std::string_view value, const Version& version,
+  bool DurableApply(KeyRecord& rec, std::string_view value, const Version& version,
                     std::span<const Dependency> deps);
-  void DurableMarkStable(const Key& key, const Version& version);
+  void DurableMarkStable(KeyRecord& rec, const Version& version);
   // Aborts on a failed WAL append (sticky disk error).
   void CheckWalAppend(const Status& status);
 
@@ -363,17 +374,15 @@ class ChainReactionNode : public Actor {
   MapNodeCache<std::unordered_map<uint64_t, PendingPut>> gated_puts_cache_;
   MapNodeCache<std::unordered_map<std::pair<Address, RequestId>, uint64_t, RequestKeyHash>>
       gated_reqs_cache_;
-  // Keys this node heads whose newest version is not yet DC-Write-Stable;
-  // re-propagated by the anti-entropy timer if stability stalls (lost
-  // chain messages). Timer is armed iff the set is non-empty.
-  std::unordered_set<Key> unstable_head_keys_;
-  SetNodeCache<std::unordered_set<Key>> unstable_keys_cache_;
-  // When each key first went unstable, feeding the chain-lag EWMA that the
-  // dep-stall watchdog compares dep-waits against (a dep-wait far beyond
-  // the typical head->tail stabilization time means the blocking chain is
-  // stuck, not merely busy).
-  std::unordered_map<Key, Time> unstable_since_;
-  MapNodeCache<std::unordered_map<Key, Time>> unstable_since_cache_;
+  // Records of keys this node heads whose newest version is not yet
+  // DC-Write-Stable; re-propagated by the anti-entropy timer if stability
+  // stalls (lost chain messages). Timer is armed iff the list is non-empty.
+  // Each record's slots.unstable_head is its index + 1, and its
+  // slots.unstable_since (when it went unstable) feeds the chain-lag EWMA
+  // that the dep-stall watchdog compares dep-waits against (a dep-wait far
+  // beyond the typical head->tail stabilization time means the blocking
+  // chain is stuck, not merely busy).
+  std::vector<KeyRecord*> unstable_heads_;
   int64_t chain_lag_ewma_us_ = 0;
   uint64_t anti_entropy_timer_ = 0;
   // Rejoin barrier: after an epoch re-adds this node, client puts are
@@ -400,11 +409,9 @@ class ChainReactionNode : public Actor {
   };
   std::vector<ChainJoinGuard> join_guards_;
   std::vector<CrxGet> join_guarded_gets_;
-  bool IsJoinGuarded(const Key& key) const;
+  // `pos` is this node's position in the key's current chain.
+  bool IsJoinGuarded(std::string_view key, ChainIndex pos) const;
   void DrainGuardedGets();
-
-  // Stability knowledge cache: key -> merged vv known DC-Write-Stable.
-  std::unordered_map<Key, VersionVector> stable_vv_;
 
   // Watermark state (dep_watermark): newest stable cut learned per ring
   // peer in the current epoch (cleared on epoch change — cuts are
@@ -462,13 +469,19 @@ class ChainReactionNode : public Actor {
 
   // Tail state.
   std::unordered_map<Key, std::vector<StabilityWatcher>> watchers_;
-  // Coalesced backward stability notifications: newest stable version per
-  // key whose notify timer is armed. Map nodes are recycled, and the armed
-  // keys ride a FIFO so the per-key timers capture only `this` (see
-  // ScheduleStableNotify).
-  std::unordered_map<Key, Version> pending_notify_;
-  MapNodeCache<std::unordered_map<Key, Version>> pending_notify_cache_;
-  std::deque<Key> notify_fifo_;
+  // Coalesced backward stability notifications, one per key whose notify
+  // timer is armed, in arming order: the delay is constant, so timers fire
+  // in that order and each firing flushes the front entry (the timers
+  // capture only `this`). A record's slots.notify_seq names its entry, so
+  // a later stabilization merges into it in place.
+  struct PendingNotify {
+    KeyRecord* rec = nullptr;
+    // Merged (possibly synthetic) version: dominates every version
+    // stabilized while the entry waited.
+    Version version;
+  };
+  std::deque<PendingNotify> notify_fifo_;
+  uint64_t notify_popped_ = 0;  // entries flushed so far (FIFO base sequence)
   // Geo notifications not yet acknowledged by the local replicator,
   // resent periodically — a lost notification would otherwise silently
   // prevent an update from ever being shipped or acknowledged. Keyed by

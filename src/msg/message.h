@@ -580,6 +580,13 @@ struct CrxChainPutView : ViewOf<CrxChainPutView, CrxChainPut> {
   uint64_t stable_cut = 0;
 };
 
+struct CrxStableNotifyView : ViewOf<CrxStableNotifyView, CrxStableNotify> {
+  std::string_view key;
+  Version version;
+  uint64_t epoch = 0;
+  uint64_t stable_cut = 0;
+};
+
 struct CrxGetView : ViewOf<CrxGetView, CrxGet> {
   RequestId req = 0;
   Address client = 0;

@@ -61,7 +61,7 @@ uint32_t Ring::WeightOf(NodeId node) const {
   return 0;
 }
 
-const std::vector<NodeId>& Ring::ChainFor(const Key& key) const {
+const std::vector<NodeId>& Ring::ChainFor(std::string_view key) const {
   CHAINRX_CHECK(!points_.empty());
   // FNV-1a alone under-avalanches its high bits for keys that differ only
   // in trailing characters (e.g. sequential YCSB record keys), which would
@@ -76,34 +76,16 @@ const std::vector<NodeId>& Ring::ChainFor(const Key& key) const {
   return segment_chains_[static_cast<size_t>(it - points_.begin())];
 }
 
-ChainIndex Ring::PositionOf(const Key& key, NodeId node) const {
-  const std::vector<NodeId>& chain = ChainFor(key);
-  for (size_t i = 0; i < chain.size(); ++i) {
-    if (chain[i] == node) {
-      return static_cast<ChainIndex>(i + 1);
+Ring::Placement Ring::Locate(std::string_view key, NodeId node) const {
+  Placement at;
+  at.chain = &ChainFor(key);
+  for (size_t i = 0; i < at.chain->size(); ++i) {
+    if ((*at.chain)[i] == node) {
+      at.position = static_cast<ChainIndex>(i + 1);
+      break;
     }
   }
-  return 0;
-}
-
-NodeId Ring::SuccessorFor(const Key& key, NodeId node) const {
-  const std::vector<NodeId>& chain = ChainFor(key);
-  for (size_t i = 0; i + 1 < chain.size(); ++i) {
-    if (chain[i] == node) {
-      return chain[i + 1];
-    }
-  }
-  return kInvalidNode;
-}
-
-NodeId Ring::PredecessorFor(const Key& key, NodeId node) const {
-  const std::vector<NodeId>& chain = ChainFor(key);
-  for (size_t i = 1; i < chain.size(); ++i) {
-    if (chain[i] == node) {
-      return chain[i - 1];
-    }
-  }
-  return kInvalidNode;
+  return at;
 }
 
 bool Ring::Contains(NodeId node) const {

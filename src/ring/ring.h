@@ -14,6 +14,7 @@
 #ifndef SRC_RING_RING_H_
 #define SRC_RING_RING_H_
 
+#include <string_view>
 #include <vector>
 
 #include "src/common/types.h"
@@ -34,18 +35,41 @@ class Ring {
        uint64_t epoch = 0, std::vector<uint32_t> weights = {});
 
   // The chain (head first) for `key`. Stable for a given membership.
-  const std::vector<NodeId>& ChainFor(const Key& key) const;
+  const std::vector<NodeId>& ChainFor(std::string_view key) const;
 
-  NodeId HeadFor(const Key& key) const { return ChainFor(key).front(); }
-  NodeId TailFor(const Key& key) const { return ChainFor(key).back(); }
+  NodeId HeadFor(std::string_view key) const { return ChainFor(key).front(); }
+  NodeId TailFor(std::string_view key) const { return ChainFor(key).back(); }
+
+  // A key's chain seen from one node. A handler locates its key once and
+  // reads position, successor and predecessor off the same chain row.
+  struct Placement {
+    const std::vector<NodeId>* chain = nullptr;
+    ChainIndex position = 0;  // 1-based; 0 if the node is not a replica
+
+    NodeId head() const { return chain->front(); }
+    NodeId tail() const { return chain->back(); }
+    // kInvalidNode at the tail, and for a node outside the chain.
+    NodeId successor() const {
+      return position == 0 || position >= chain->size() ? kInvalidNode : (*chain)[position];
+    }
+    // kInvalidNode at the head, and for a node outside the chain.
+    NodeId predecessor() const { return position <= 1 ? kInvalidNode : (*chain)[position - 2]; }
+  };
+  Placement Locate(std::string_view key, NodeId node) const;
 
   // 1-based position of `node` in key's chain; 0 if not a replica.
-  ChainIndex PositionOf(const Key& key, NodeId node) const;
+  ChainIndex PositionOf(std::string_view key, NodeId node) const {
+    return Locate(key, node).position;
+  }
 
   // Successor of `node` in key's chain, kInvalidNode for the tail.
-  NodeId SuccessorFor(const Key& key, NodeId node) const;
+  NodeId SuccessorFor(std::string_view key, NodeId node) const {
+    return Locate(key, node).successor();
+  }
   // Predecessor of `node` in key's chain, kInvalidNode for the head.
-  NodeId PredecessorFor(const Key& key, NodeId node) const;
+  NodeId PredecessorFor(std::string_view key, NodeId node) const {
+    return Locate(key, node).predecessor();
+  }
 
   bool Contains(NodeId node) const;
 

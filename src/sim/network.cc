@@ -20,7 +20,8 @@ uint64_t SitePairKey(SiteId a, SiteId b) {
 // Env implementation bound to one registered actor.
 class SimEnv : public Env {
  public:
-  SimEnv(SimNetwork* net, Address self) : net_(net), self_(self) {}
+  SimEnv(SimNetwork* net, Address self, uint64_t incarnation)
+      : net_(net), self_(self), incarnation_(incarnation) {}
 
   Time Now() override { return net_->sim_->Now(); }
 
@@ -29,11 +30,15 @@ class SimEnv : public Env {
   }
 
   uint64_t Schedule(Duration delay, std::function<void()> fn) override {
-    // Timers die with the actor: a crashed node must not wake up.
+    // Timers die with the actor: a crashed node must not wake up, and
+    // neither may one whose registration is gone — a restarted node
+    // registers anew at the same address, and its predecessor's timers
+    // would otherwise run against this (destroyed) Env.
     const Address self = self_;
+    const uint64_t incarnation = incarnation_;
     SimNetwork* net = net_;
-    return net_->sim_->Schedule(delay, [net, self, fn = std::move(fn)]() {
-      if (!net->IsCrashed(self)) {
+    return net_->sim_->Schedule(delay, [net, self, incarnation, fn = std::move(fn)]() {
+      if (net->TimerLive(self, incarnation)) {
         fn();
       }
     });
@@ -44,6 +49,7 @@ class SimEnv : public Env {
  private:
   SimNetwork* net_;
   Address self_;
+  uint64_t incarnation_;
 };
 
 struct SimNetwork::Endpoint {
@@ -52,6 +58,7 @@ struct SimNetwork::Endpoint {
   ServiceModel service;
   Time busy_until = 0;
   uint64_t processed = 0;
+  uint64_t incarnation = 0;  // which Register() call made this endpoint
   std::unique_ptr<SimEnv> env;
 };
 
@@ -76,13 +83,22 @@ Env* SimNetwork::Register(Address addr, Actor* actor, SiteId site, ServiceModel 
   ep->actor = actor;
   ep->site = site;
   ep->service = service;
-  ep->env = std::make_unique<SimEnv>(this, addr);
+  ep->incarnation = ++registrations_;
+  ep->env = std::make_unique<SimEnv>(this, addr, ep->incarnation);
   Env* env = ep->env.get();
   endpoints_.emplace(addr, std::move(ep));
   return env;
 }
 
 void SimNetwork::Unregister(Address addr) { endpoints_.erase(addr); }
+
+bool SimNetwork::TimerLive(Address addr, uint64_t incarnation) const {
+  if (IsCrashed(addr)) {
+    return false;
+  }
+  auto it = endpoints_.find(addr);
+  return it != endpoints_.end() && it->second->incarnation == incarnation;
+}
 
 void SimNetwork::SetInterSiteLatency(SiteId a, SiteId b, LinkModel link) {
   inter_site_[{std::min(a, b), std::max(a, b)}] = link;

@@ -103,6 +103,9 @@ class SimNetwork {
 
   struct Endpoint;
 
+  // True while the endpoint made by Register() call `incarnation` is still
+  // registered at `addr` and not crashed: its timers may fire.
+  bool TimerLive(Address addr, uint64_t incarnation) const;
   Duration SampleLatency(SiteId from, SiteId to);
   void Deliver(Address src, Address dst, Payload payload);
   void CountDrop() {
@@ -118,6 +121,7 @@ class SimNetwork {
   std::unordered_map<Address, std::unique_ptr<Endpoint>> endpoints_;
   std::map<std::pair<SiteId, SiteId>, LinkModel> inter_site_;
   std::unordered_set<Address> crashed_;
+  uint64_t registrations_ = 0;
   std::unordered_set<uint64_t> partitioned_site_pairs_;  // encoded (min<<16)|max
   std::map<std::pair<Address, Address>, Time> last_arrival_;
   uint64_t messages_delivered_ = 0;

@@ -28,34 +28,135 @@ void VersionedStore::AttachEngine(std::unique_ptr<StorageEngine> engine) {
   engine_ = std::move(engine);
 }
 
-bool VersionedStore::Apply(const Key& key, std::string_view value, const Version& version,
+void KeyRecord::SetKey(const Key* key) {
+  key_ = key;
+  if (key->size() <= kInlineKey) {
+    key_len_ = static_cast<uint8_t>(key->size());
+    std::memcpy(key_inline_, key->data(), key->size());
+  }
+}
+
+KeyRecord* VersionedStore::Lookup(std::string_view key) {
+  if (index_.empty()) {
+    return nullptr;
+  }
+  const uint64_t hash = HashKey(key);
+  const size_t mask = index_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const IndexSlot& slot = index_[i];
+    if (slot.rec == nullptr) {
+      return nullptr;
+    }
+    if (slot.hash == hash && slot.rec->KeyEquals(key)) {
+      return slot.rec;
+    }
+  }
+}
+
+const KeyRecord* VersionedStore::Lookup(std::string_view key) const {
+  return const_cast<VersionedStore*>(this)->Lookup(key);
+}
+
+KeyRecord& VersionedStore::Claim(std::string_view key) {
+  KeyRecord* rec = Lookup(key);
+  return rec != nullptr ? *rec : Insert(key);
+}
+
+KeyRecord& VersionedStore::Insert(std::string_view key) {
+  auto [it, inserted] = table_.try_emplace(Key(key));
+  KeyRecord& rec = it->second;
+  rec.SetKey(&it->first);
+  IndexInsert(&rec, HashKey(key));
+  return rec;
+}
+
+void VersionedStore::IndexInsert(KeyRecord* rec, uint64_t hash) {
+  if (2 * table_.size() > index_.size()) {
+    // Grow to keep the index at most half full: rehash every slot.
+    std::vector<IndexSlot> old = std::move(index_);
+    index_.assign(std::max<size_t>(64, 2 * old.size()), IndexSlot{});
+    for (const IndexSlot& slot : old) {
+      if (slot.rec != nullptr) {
+        IndexInsert(slot.rec, slot.hash);
+      }
+    }
+  }
+  const size_t mask = index_.size() - 1;
+  size_t i = hash & mask;
+  while (index_[i].rec != nullptr) {
+    i = (i + 1) & mask;
+  }
+  index_[i] = IndexSlot{hash, rec};
+}
+
+void VersionedStore::IndexErase(const KeyRecord* rec) {
+  const size_t mask = index_.size() - 1;
+  size_t hole = HashKey(rec->key()) & mask;
+  while (index_[hole].rec != rec) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole, so every lookup still stops at the first empty slot.
+  for (size_t j = (hole + 1) & mask; index_[j].rec != nullptr; j = (j + 1) & mask) {
+    const size_t home = index_[j].hash & mask;
+    // Movable iff its home is not in the cyclic range (hole, j].
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = IndexSlot{};
+}
+
+bool VersionedStore::ReleaseIfEmpty(KeyRecord* rec) {
+  if (rec->has_versions() || !rec->slots.empty()) {
+    return false;
+  }
+  IndexErase(rec);
+  const Key key = rec->key();
+  table_.erase(key);
+  return true;
+}
+
+void VersionedStore::ForEachRecord(const std::function<void(KeyRecord&)>& fn) {
+  for (auto& [key, rec] : table_) {
+    if (rec.has_versions()) {
+      fn(rec);
+    }
+  }
+}
+
+bool VersionedStore::Apply(KeyRecord& rec, std::string_view value, const Version& version,
                            std::span<const Dependency> deps) {
-  KeyState& ks = table_[key];
   // Insertion point in ascending LWW order.
+  auto& versions = rec.versions_;
   auto it = std::lower_bound(
-      ks.versions.begin(), ks.versions.end(), version,
+      versions.begin(), versions.end(), version,
       [](const StoredVersion& sv, const Version& v) { return sv.version.LwwLess(v); });
-  if (it != ks.versions.end() && it->version == version) {
+  if (it != versions.end() && it->version == version) {
     return false;  // duplicate (e.g. repair re-propagation)
+  }
+  if (versions.empty()) {
+    live_keys_++;
   }
   StoredVersion sv;
   sv.version = version;
   sv.deps.assign(deps.begin(), deps.end());
   TrackUnstable(version);
   if (!engine_->inline_values()) {
-    sv.handle = engine_->Append(key, version, value);
+    sv.handle = engine_->Append(rec.key(), version, value);
   }
   const size_t value_bytes = value.size();
   sv.value.assign(value.data(), value.size());  // the single owned copy
   sv.resident = true;
-  auto inserted = ks.versions.insert(it, std::move(sv));
+  auto inserted = versions.insert(it, std::move(sv));
   inline_bytes_ += value_bytes;
   if (!engine_->inline_values()) {
-    TouchLru(key, &*inserted);
+    TouchLru(rec, &*inserted);
   }
-  ks.applied_vv.MergeMax(version.vv);
+  rec.applied_vv_.MergeMax(version.vv);
   total_versions_++;
-  Trim(&ks);
+  Trim(&rec);
   if (!engine_->inline_values()) {
     EvictOverBudget();
     if (++ops_since_compact_ >= kCompactCheckInterval) {
@@ -68,15 +169,20 @@ bool VersionedStore::Apply(const Key& key, std::string_view value, const Version
 
 bool VersionedStore::Adopt(const Key& key, const Version& version,
                            std::vector<Dependency> deps, const ValueHandle& handle) {
-  KeyState& ks = table_[key];
+  KeyRecord& rec = Claim(key);
+  auto& versions = rec.versions_;
   auto it = std::lower_bound(
-      ks.versions.begin(), ks.versions.end(), version,
+      versions.begin(), versions.end(), version,
       [](const StoredVersion& sv, const Version& v) { return sv.version.LwwLess(v); });
-  if (it != ks.versions.end() && it->version == version) {
+  if (it != versions.end() && it->version == version) {
     return true;  // idempotent
   }
   if (!engine_->AdoptLive(handle)) {
+    ReleaseIfEmpty(&rec);
     return false;
+  }
+  if (versions.empty()) {
+    live_keys_++;
   }
   StoredVersion sv;
   sv.version = version;
@@ -84,19 +190,15 @@ bool VersionedStore::Adopt(const Key& key, const Version& version,
   TrackUnstable(version);
   sv.handle = handle;
   sv.resident = false;
-  ks.versions.insert(it, std::move(sv));
-  ks.applied_vv.MergeMax(version.vv);
+  versions.insert(it, std::move(sv));
+  rec.applied_vv_.MergeMax(version.vv);
   total_versions_++;
   return true;
 }
 
-bool VersionedStore::MarkStable(const Key& key, const Version& version) {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    return false;
-  }
+bool VersionedStore::MarkStable(KeyRecord& rec, const Version& version) {
   bool found = false;
-  for (StoredVersion& sv : it->second.versions) {
+  for (StoredVersion& sv : rec.versions_) {
     if (sv.version == version || version.CausallyIncludes(sv.version)) {
       // Stability is prefix-closed along the chain: everything the stable
       // version causally includes is stable too.
@@ -108,17 +210,13 @@ bool VersionedStore::MarkStable(const Key& key, const Version& version) {
     }
   }
   if (found) {
-    Trim(&it->second);
+    Trim(&rec);
   }
   return found;
 }
 
-StoredVersion* VersionedStore::FindEntry(const Key& key, const Version& version) {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    return nullptr;
-  }
-  for (StoredVersion& sv : it->second.versions) {
+StoredVersion* VersionedStore::FindEntry(KeyRecord& rec, const Version& version) {
+  for (StoredVersion& sv : rec.versions_) {
     if (sv.version == version) {
       return &sv;
     }
@@ -126,13 +224,13 @@ StoredVersion* VersionedStore::FindEntry(const Key& key, const Version& version)
   return nullptr;
 }
 
-StoredVersion* VersionedStore::Materialize(const Key& key, StoredVersion* sv) {
+StoredVersion* VersionedStore::Materialize(KeyRecord& rec, StoredVersion* sv) {
   if (engine_->inline_values()) {
     return sv;
   }
   if (sv->resident) {
     cache_hits_++;
-    TouchLru(key, sv);
+    TouchLru(rec, sv);
     return sv;
   }
   cache_misses_++;
@@ -140,22 +238,22 @@ StoredVersion* VersionedStore::Materialize(const Key& key, StoredVersion* sv) {
   if (!st.ok()) {
     // The index says this version exists but its log record is unreadable:
     // the value log is corrupt, which is not survivable.
-    LOG_ERROR("value log read failed for key '%s': %s", key.c_str(),
+    LOG_ERROR("value log read failed for key '%s': %s", rec.key().c_str(),
               st.ToString().c_str());
     std::abort();
   }
   sv->resident = true;
   inline_bytes_ += sv->value.size();
-  TouchLru(key, sv);
+  TouchLru(rec, sv);
   EvictOverBudget();
   return sv;
 }
 
-void VersionedStore::TouchLru(const Key& key, StoredVersion* sv) {
+void VersionedStore::TouchLru(KeyRecord& rec, StoredVersion* sv) {
   if (sv->cached) {
     lru_.splice(lru_.begin(), lru_, sv->lru_it);
   } else {
-    lru_.emplace_front(key, sv->version);
+    lru_.emplace_front(&rec, sv->version);
     sv->lru_it = lru_.begin();
     sv->cached = true;
   }
@@ -163,8 +261,8 @@ void VersionedStore::TouchLru(const Key& key, StoredVersion* sv) {
 
 void VersionedStore::EvictOverBudget() {
   while (inline_bytes_ > cache_budget_ && lru_.size() > kPinnedRecent) {
-    const auto& [key, version] = lru_.back();
-    StoredVersion* sv = FindEntry(key, version);
+    const auto& [rec, version] = lru_.back();
+    StoredVersion* sv = FindEntry(*rec, version);
     if (sv != nullptr && sv->resident) {
       inline_bytes_ -= sv->value.size();
       sv->value.clear();
@@ -176,50 +274,37 @@ void VersionedStore::EvictOverBudget() {
   }
 }
 
-const StoredVersion* VersionedStore::Latest(const Key& key) const {
-  auto* self = const_cast<VersionedStore*>(this);
-  auto it = self->table_.find(key);
-  if (it == self->table_.end() || it->second.versions.empty()) {
+const StoredVersion* VersionedStore::Latest(const KeyRecord& rec) const {
+  auto& mut = const_cast<KeyRecord&>(rec);
+  if (mut.versions_.empty()) {
     return nullptr;
   }
-  return self->Materialize(key, &it->second.versions.back());
+  return const_cast<VersionedStore*>(this)->Materialize(mut, &mut.versions_.back());
 }
 
-const StoredVersion* VersionedStore::Find(const Key& key, const Version& version) const {
-  auto* self = const_cast<VersionedStore*>(this);
-  StoredVersion* sv = self->FindEntry(key, version);
-  return sv == nullptr ? nullptr : self->Materialize(key, sv);
+const StoredVersion* VersionedStore::Find(const KeyRecord& rec, const Version& version) const {
+  auto& mut = const_cast<KeyRecord&>(rec);
+  StoredVersion* sv = FindEntry(mut, version);
+  return sv == nullptr ? nullptr : const_cast<VersionedStore*>(this)->Materialize(mut, sv);
 }
 
-const StoredVersion* VersionedStore::LatestStable(const Key& key) const {
-  auto* self = const_cast<VersionedStore*>(this);
-  auto it = self->table_.find(key);
-  if (it == self->table_.end()) {
-    return nullptr;
-  }
-  auto& versions = it->second.versions;
-  for (auto rit = versions.rbegin(); rit != versions.rend(); ++rit) {
+const StoredVersion* VersionedStore::LatestStable(const KeyRecord& rec) const {
+  auto& mut = const_cast<KeyRecord&>(rec);
+  for (auto rit = mut.versions_.rbegin(); rit != mut.versions_.rend(); ++rit) {
     if (rit->stable) {
-      return self->Materialize(key, &*rit);
+      return const_cast<VersionedStore*>(this)->Materialize(mut, &*rit);
     }
   }
   return nullptr;
 }
 
-const StoredVersion* VersionedStore::LatestMeta(const Key& key) const {
-  auto it = table_.find(key);
-  if (it == table_.end() || it->second.versions.empty()) {
-    return nullptr;
-  }
-  return &it->second.versions.back();
+const StoredVersion* VersionedStore::LatestMeta(const KeyRecord& rec) const {
+  return rec.versions_.empty() ? nullptr : &rec.versions_.back();
 }
 
-const StoredVersion* VersionedStore::FindMeta(const Key& key, const Version& version) const {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    return nullptr;
-  }
-  for (const StoredVersion& sv : it->second.versions) {
+const StoredVersion* VersionedStore::FindMeta(const KeyRecord& rec,
+                                              const Version& version) const {
+  for (const StoredVersion& sv : rec.versions_) {
     if (sv.version == version) {
       return &sv;
     }
@@ -227,13 +312,8 @@ const StoredVersion* VersionedStore::FindMeta(const Key& key, const Version& ver
   return nullptr;
 }
 
-const StoredVersion* VersionedStore::LatestStableMeta(const Key& key) const {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    return nullptr;
-  }
-  const auto& versions = it->second.versions;
-  for (auto rit = versions.rbegin(); rit != versions.rend(); ++rit) {
+const StoredVersion* VersionedStore::LatestStableMeta(const KeyRecord& rec) const {
+  for (auto rit = rec.versions_.rbegin(); rit != rec.versions_.rend(); ++rit) {
     if (rit->stable) {
       return &*rit;
     }
@@ -241,12 +321,8 @@ const StoredVersion* VersionedStore::LatestStableMeta(const Key& key) const {
   return nullptr;
 }
 
-bool VersionedStore::HasUnstable(const Key& key) const {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    return false;
-  }
-  for (const StoredVersion& sv : it->second.versions) {
+bool VersionedStore::HasUnstable(const KeyRecord& rec) const {
+  for (const StoredVersion& sv : rec.versions_) {
     if (!sv.stable) {
       return true;
     }
@@ -254,32 +330,18 @@ bool VersionedStore::HasUnstable(const Key& key) const {
   return false;
 }
 
-bool VersionedStore::HasAtLeast(const Key& key, const Version& min) const {
+bool VersionedStore::HasAtLeast(const KeyRecord& rec, const Version& min) const {
   if (min.IsNull()) {
     return true;
   }
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    return false;
-  }
-  return it->second.applied_vv.Dominates(min.vv);
-}
-
-const VersionVector* VersionedStore::AppliedVv(const Key& key) const {
-  auto it = table_.find(key);
-  return it == table_.end() ? nullptr : &it->second.applied_vv;
-}
-
-size_t VersionedStore::VersionCount(const Key& key) const {
-  auto it = table_.find(key);
-  return it == table_.end() ? 0 : it->second.versions.size();
+  return rec.has_versions() && rec.applied_vv_.Dominates(min.vv);
 }
 
 void VersionedStore::ForEachKey(
     const std::function<void(const Key&, const StoredVersion&)>& fn) const {
-  for (const auto& [key, ks] : table_) {
-    if (!ks.versions.empty()) {
-      fn(key, ks.versions.back());
+  for (const auto& [key, rec] : table_) {
+    if (!rec.versions_.empty()) {
+      fn(key, rec.versions_.back());
     }
   }
 }
@@ -287,32 +349,28 @@ void VersionedStore::ForEachKey(
 void VersionedStore::ForEachVersion(
     const std::function<void(const Key&, const StoredVersion&)>& fn) const {
   auto* self = const_cast<VersionedStore*>(this);
-  for (auto& [key, ks] : self->table_) {
-    for (StoredVersion& sv : ks.versions) {
-      fn(key, *self->Materialize(key, &sv));
+  for (auto& [key, rec] : self->table_) {
+    for (StoredVersion& sv : rec.versions_) {
+      fn(key, *self->Materialize(rec, &sv));
     }
   }
 }
 
 void VersionedStore::ForEachVersionRaw(
     const std::function<void(const Key&, const StoredVersion&)>& fn) const {
-  for (const auto& [key, ks] : table_) {
-    for (const StoredVersion& sv : ks.versions) {
+  for (const auto& [key, rec] : table_) {
+    for (const StoredVersion& sv : rec.versions_) {
       fn(key, sv);
     }
   }
 }
 
-std::vector<StoredVersion> VersionedStore::UnstableVersions(const Key& key) const {
-  auto* self = const_cast<VersionedStore*>(this);
+std::vector<StoredVersion> VersionedStore::UnstableVersions(const KeyRecord& rec) const {
+  auto& mut = const_cast<KeyRecord&>(rec);
   std::vector<StoredVersion> out;
-  auto it = self->table_.find(key);
-  if (it == self->table_.end()) {
-    return out;
-  }
-  for (StoredVersion& sv : it->second.versions) {
+  for (StoredVersion& sv : mut.versions_) {
     if (!sv.stable) {
-      out.push_back(*self->Materialize(key, &sv));
+      out.push_back(*const_cast<VersionedStore*>(this)->Materialize(mut, &sv));
     }
   }
   return out;
@@ -322,7 +380,8 @@ bool VersionedStore::CompactEngine() {
   return engine_->MaybeCompact(
       [this](const Key& key, const Version& version, const ValueHandle& old_handle,
              const ValueHandle& new_handle) {
-        StoredVersion* sv = FindEntry(key, version);
+        KeyRecord* rec = Lookup(key);
+        StoredVersion* sv = rec == nullptr ? nullptr : FindEntry(*rec, version);
         if (sv != nullptr && sv->handle.segment == old_handle.segment &&
             sv->handle.offset == old_handle.offset) {
           sv->handle = new_handle;
@@ -374,9 +433,9 @@ void VersionedStore::DropEntry(StoredVersion* sv) {
   }
 }
 
-void VersionedStore::Trim(KeyState* ks) {
+void VersionedStore::Trim(KeyRecord* rec) {
   // Drop everything older than the newest stable version.
-  auto& versions = ks->versions;
+  auto& versions = rec->versions_;
   size_t newest_stable = versions.size();
   for (size_t i = versions.size(); i-- > 0;) {
     if (versions[i].stable) {

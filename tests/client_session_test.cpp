@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 
 #include "src/common/flags.h"
@@ -24,53 +25,93 @@ ClusterOptions Small(uint64_t seed = 1) {
   return opts;
 }
 
-TEST(ClientSession, MetadataNeverShrinksForSameVersion) {
-  Cluster cluster(Small());
-  ChainReactionClient* client = cluster.crx_client(0);
-
-  bool done = false;
-  client->Put("k", "v", [&](const auto&) { done = true; });
-  cluster.sim()->Run();
-  ASSERT_TRUE(done);
-
-  // Read until the reply reports stability (chain_index -> R), then keep
-  // reading: the index must stay at R even when later replies come from
-  // position 1.
-  for (int i = 0; i < 20; ++i) {
-    client->Get("k", [](const auto&) {});
-    cluster.sim()->Run();
-    ChainIndex idx = 0;
-    ASSERT_TRUE(client->LookupMetadata("k", nullptr, &idx));
-    if (i > 0) {
-      EXPECT_EQ(idx, cluster.options().replication) << "iteration " << i;
-    }
+// Runs the simulator until `done` turns true (not to quiescence), so a
+// read can land while the last write is still unstable.
+void RunUntilDone(Cluster* cluster, const bool& done) {
+  while (!done) {
+    cluster->sim()->RunUntil(cluster->sim()->Now() + 10);
   }
 }
 
-TEST(ClientSession, NewerVersionReplacesMetadata) {
+// A reply never narrows the prefix a session knows for the same version.
+// A reply that reports the version DC-Write-Stable drops the entry, and
+// later replies of that version, from any position, do not bring it back:
+// a key with no entry is read from any chain node.
+TEST(ClientSession, MetadataNeverShrinksForSameVersion) {
   Cluster cluster(Small());
+  ChainReactionClient* client = cluster.crx_client(0);
+  const ChainIndex k = cluster.options().k_stability;
+  ASSERT_LT(k, cluster.options().replication);
+
+  bool done = false;
+  client->Put("k", "v", [&](const auto&) { done = true; });
+  RunUntilDone(&cluster, done);
+  ChainIndex idx = 0;
+  ASSERT_TRUE(client->LookupMetadata("k", nullptr, &idx));
+  ASSERT_EQ(idx, k);
+
+  // Read before the tail's stability notify is back: the reply (from a
+  // position <= k) carries the unstable version and must leave the index
+  // at k.
+  done = false;
+  client->Get("k", [&](const auto&) { done = true; });
+  RunUntilDone(&cluster, done);
+  ASSERT_TRUE(client->LookupMetadata("k", nullptr, &idx));
+  EXPECT_EQ(idx, k);
+
+  // Once the write is stable, the first reply drops the entry for good.
+  cluster.sim()->Run();
+  std::set<ChainIndex> positions;
+  for (int i = 0; i < 20; ++i) {
+    client->Get("k", [&](const ChainReactionClient::GetResult& r) {
+      positions.insert(r.answered_by_position);
+    });
+    cluster.sim()->Run();
+    EXPECT_FALSE(client->LookupMetadata("k", nullptr, nullptr)) << "iteration " << i;
+  }
+  EXPECT_GT(positions.size(), 1u) << "reads never left the known prefix";
+}
+
+// A newer version replaces an older entry; once the newest version is
+// DC-Write-Stable, a reply of it drops the entry instead of recording it.
+// Head-only reads make every mid-flight reply carry the newest version
+// while it is still unstable.
+TEST(ClientSession, NewerVersionReplacesMetadata) {
+  ClusterOptions opts = Small();
+  opts.read_policy = ReadPolicy::kHeadOnly;
+  Cluster cluster(opts);
   ChainReactionClient* a = cluster.crx_client(0);
   ChainReactionClient* b = cluster.crx_client(1);
 
-  bool done = false;
-  a->Put("k", "v1", [&](const auto&) { done = true; });
-  cluster.sim()->Run();
-  ASSERT_TRUE(done);
-  b->Get("k", [](const auto&) {});
-  cluster.sim()->Run();
+  const auto write_then_read = [&](const std::string& value, Version* seen) {
+    bool done = false;
+    a->Put("k", value, [&](const auto&) { done = true; });
+    RunUntilDone(&cluster, done);
+    done = false;
+    b->Get("k", [&](const auto&) { done = true; });
+    RunUntilDone(&cluster, done);
+    ChainIndex idx = 0;
+    ASSERT_TRUE(b->LookupMetadata("k", seen, &idx));
+    EXPECT_EQ(idx, 1u);
+  };
   Version v1;
-  ASSERT_TRUE(b->LookupMetadata("k", &v1, nullptr));
-
-  done = false;
-  a->Put("k", "v2", [&](const auto&) { done = true; });
-  cluster.sim()->Run();
-  ASSERT_TRUE(done);
-  b->Get("k", [](const auto&) {});
-  cluster.sim()->Run();
+  write_then_read("v1", &v1);
   Version v2;
-  ASSERT_TRUE(b->LookupMetadata("k", &v2, nullptr));
+  write_then_read("v2", &v2);
   EXPECT_TRUE(v1.LwwLess(v2));
   EXPECT_TRUE(v2.CausallyIncludes(v1));
+
+  cluster.sim()->Run();
+  bool done = false;
+  Version read;
+  b->Get("k", [&](const ChainReactionClient::GetResult& r) {
+    read = r.version;
+    done = true;
+  });
+  cluster.sim()->Run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(read, v2);
+  EXPECT_FALSE(b->LookupMetadata("k", nullptr, nullptr));
 }
 
 TEST(ClientSession, ResetForgetsEverything) {
@@ -242,21 +283,26 @@ TEST(ClientSession, RemoteOriginMetadataNotDroppedByWatermark) {
 
   // Poll each remote key from DC 0 until a reply carries the DC-1 version.
   // Replies served before the version stabilized here leave an entry with
-  // chain_index < R; those are the entries under test. Each key is read
-  // only until its first DC-1 reply, so no later stable reply widens it.
+  // chain_index < R; those are the entries under test (a stable reply
+  // leaves none). Each key is read only until its first DC-1 reply, so no
+  // later stable reply drops it.
   std::map<Key, Version> unstable_remote;
   for (int i = 0; i < kKeys; ++i) {
     const Key key = "geo-" + std::to_string(i);
     for (int attempt = 0; attempt < 400; ++attempt) {
       bool done = false;
-      reader->Get(key, [&](const auto&) { done = true; });
+      DcId origin = 0;
+      reader->Get(key, [&](const ChainReactionClient::GetResult& res) {
+        origin = res.found ? res.version.origin : 0;
+        done = true;
+      });
       while (!done) {
         cluster.sim()->RunUntil(cluster.sim()->Now() + 50);
       }
-      Version v;
-      ChainIndex idx = 0;
-      if (reader->LookupMetadata(key, &v, &idx) && v.origin == 1) {
-        if (idx < r) {
+      if (origin == 1) {
+        Version v;
+        ChainIndex idx = 0;
+        if (reader->LookupMetadata(key, &v, &idx) && idx < r) {
           unstable_remote[key] = v;
         }
         break;

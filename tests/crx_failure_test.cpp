@@ -279,6 +279,78 @@ TEST_P(CrxCrashRestart, RecoveryRebuildsPreCrashStoreExactly) {
   EXPECT_EQ(before, after);
 }
 
+// Recovery rebuilds the node's per-key slots from the store alone: the
+// stability cache (StableVvOf) of every key, and the unstable-head list —
+// keys this node heads whose newest version was still unstable at the
+// crash. The crash lands while writes to keys the victim heads are acked
+// (k=2) but not yet stable.
+TEST_P(CrxCrashRestart, RecoveryRebuildsStabilityAndHeadSlots) {
+  ScratchDir scratch("restart_slots");
+  ClusterOptions opts = EngineOpts(FailureOpts(31));
+  opts.data_root = scratch.path();
+  opts.fsync_policy = FsyncPolicy::kAlways;
+  Cluster cluster(opts);
+  cluster.Preload(150, 64);
+
+  const uint32_t victim = 4;
+  const NodeId victim_addr = cluster.ServerAddress(0, victim);
+  const Ring ring_before = cluster.membership(0)->ring();
+  size_t acked = 0;
+  size_t issued = 0;
+  for (int i = 0; issued < cluster.num_clients(); ++i) {
+    const Key key = "slot-" + std::to_string(i);
+    if (ring_before.HeadFor(key) != victim_addr) {
+      continue;
+    }
+    cluster.crx_client(issued++)->Put(key, "v", [&acked](const auto&) { acked++; });
+  }
+  while (acked < issued) {
+    cluster.sim()->RunUntil(cluster.sim()->Now() + 10);
+  }
+
+  ChainReactionNode* node = cluster.crx_node(0, victim);
+  const size_t heads_before = node->unstable_head_keys_count();
+  ASSERT_GT(heads_before, 0u) << "every write stabilized before the crash";
+  std::map<Key, std::string> stable_before;
+  node->store().ForEachKey([&](const Key& key, const StoredVersion&) {
+    stable_before[key] = node->StableVvOf(key);
+  });
+  cluster.CrashServer(0, victim);
+
+  {
+    // Recovery against the ring the victim crashed in, so it heads the
+    // same keys again.
+    CrxConfig cfg;
+    cfg.replication = opts.replication;
+    cfg.k_stability = opts.k_stability;
+    cfg.engine = GetParam();
+    cfg.engine_cache_bytes = opts.engine_cache_bytes;
+    ChainReactionNode recovered(victim_addr, cfg, ring_before);
+    ASSERT_TRUE(recovered.RecoverFrom(cluster.NodeDataDir(0, victim)).ok());
+    EXPECT_EQ(recovered.unstable_head_keys_count(), heads_before);
+    EXPECT_EQ(recovered.store().KeyCount(), stable_before.size());
+    for (const auto& [key, vv] : stable_before) {
+      EXPECT_EQ(recovered.StableVvOf(key), vv) << key;
+    }
+  }
+
+  // RestartServer recovers the same stability cache; its ring no longer
+  // lists the victim, so it heads nothing until the rejoin epoch.
+  ASSERT_TRUE(cluster.RestartServer(0, victim).ok());
+  const ChainReactionNode* restarted = cluster.crx_node(0, victim);
+  EXPECT_EQ(restarted->unstable_head_keys_count(), 0u);
+  for (const auto& [key, vv] : stable_before) {
+    EXPECT_EQ(restarted->StableVvOf(key), vv) << key;
+  }
+  // Once the rejoin repair settles, every write is stable: no node keeps a
+  // head slot or a pending notify.
+  cluster.sim()->Run();
+  for (uint32_t idx = 0; idx < opts.servers_per_dc; ++idx) {
+    EXPECT_EQ(cluster.crx_node(0, idx)->unstable_head_keys_count(), 0u) << "node " << idx;
+    EXPECT_EQ(cluster.crx_node(0, idx)->stable_notifies_pending(), 0u) << "node " << idx;
+  }
+}
+
 TEST_P(CrxCrashRestart, AckedWritesSurviveCrashRestart) {
   ScratchDir scratch("restart_acked");
   ClusterOptions opts = EngineOpts(FailureOpts(29));

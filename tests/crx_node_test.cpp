@@ -4,12 +4,19 @@
 // catch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/harness/cluster.h"
 #include "src/harness/experiment.h"
 #include "src/msg/message.h"
 #include "src/sim/network.h"
+#include "src/storage/checkpoint.h"
+#include "src/ycsb/driver.h"
 
 namespace chainreaction {
 namespace {
@@ -55,7 +62,8 @@ TEST(CrxProtocol, StableReadExtendsChainIndexToR) {
 
   // The simulator drained: the write reached the tail and became stable.
   // The next read (from position 1, the only allowed one) reports
-  // stability and the client may use the whole chain afterwards.
+  // stability and drops the key's entry: with no entry the client may use
+  // the whole chain afterwards.
   ChainIndex idx = 0;
   ASSERT_TRUE(client->LookupMetadata("key", nullptr, &idx));
   EXPECT_EQ(idx, 1u);
@@ -63,12 +71,21 @@ TEST(CrxProtocol, StableReadExtendsChainIndexToR) {
   bool read_done = false;
   client->Get("key", [&](const ChainReactionClient::GetResult& r) {
     EXPECT_TRUE(r.found);
+    EXPECT_EQ(r.answered_by_position, 1u);
     read_done = true;
   });
   cluster.sim()->Run();
   ASSERT_TRUE(read_done);
-  ASSERT_TRUE(client->LookupMetadata("key", nullptr, &idx));
-  EXPECT_EQ(idx, 3u);
+  EXPECT_FALSE(client->LookupMetadata("key", nullptr, &idx));
+
+  ChainIndex widest = 0;
+  for (int i = 0; i < 30; ++i) {
+    client->Get("key", [&](const ChainReactionClient::GetResult& r) {
+      widest = std::max(widest, r.answered_by_position);
+    });
+    cluster.sim()->Run();
+  }
+  EXPECT_EQ(widest, 3u);
 }
 
 TEST(CrxProtocol, ReadsSpreadOverWholeChainForStableData) {
@@ -432,6 +449,141 @@ TEST(CrxProtocol, InterleavedSessionsSeeEachOther) {
   a->Get("shared", [&](const ChainReactionClient::GetResult& r) { seen = r.value; });
   cluster.sim()->Run();
   EXPECT_EQ(seen, "from-b");
+}
+
+// ------------------------------ key records --------------------------------
+
+// A record that holds no version (here: only the stability cache) is
+// bookkeeping, not data: it never counts as a key, never reaches a key
+// walk, and never reaches a checkpoint. It is erased once every slot is
+// empty again.
+TEST(CrxRecords, RecordWithoutVersionIsNotAKey) {
+  VersionedStore store;
+  Version v;
+  v.vv = VersionVector(1);
+  v.vv.Set(0, 1);
+  v.lamport = 1;
+  ASSERT_TRUE(store.Apply("data", "value", v));
+  KeyRecord& empty = store.Claim("slots-only");
+  empty.slots.stable_vv.MergeMax(v.vv);
+
+  EXPECT_EQ(store.KeyCount(), 1u);
+  EXPECT_EQ(store.RecordCount(), 2u);
+  EXPECT_EQ(store.Latest("slots-only"), nullptr);
+  std::vector<Key> walked;
+  store.ForEachKey([&walked](const Key& key, const StoredVersion&) { walked.push_back(key); });
+  EXPECT_EQ(walked, std::vector<Key>{"data"});
+  size_t versions = 0;
+  store.ForEachVersion([&versions](const Key&, const StoredVersion&) { versions++; });
+  EXPECT_EQ(versions, 1u);
+
+  const std::string path = ::testing::TempDir() + "crx_record_checkpoint_" +
+                           std::to_string(reinterpret_cast<uintptr_t>(&store));
+  ASSERT_TRUE(SaveCheckpoint(store, path).ok());
+  VersionedStore loaded;
+  ASSERT_TRUE(LoadCheckpoint(path, &loaded).ok());
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.KeyCount(), 1u);
+  EXPECT_EQ(loaded.RecordCount(), 1u);
+  EXPECT_EQ(loaded.Lookup("slots-only"), nullptr);
+
+  // Erased only once every slot is empty; a record with a version stays.
+  EXPECT_FALSE(store.ReleaseIfEmpty(&empty));
+  empty.slots.stable_vv = VersionVector();
+  EXPECT_TRUE(store.ReleaseIfEmpty(&empty));
+  EXPECT_EQ(store.RecordCount(), 1u);
+  EXPECT_FALSE(store.ReleaseIfEmpty(store.Lookup("data")));
+}
+
+// Runs the simulator in 1 ms slices until every node of `cluster` (indexes
+// below `count`) has left `epoch`, and checks each node right at its flip:
+// no key whose head moved away from it keeps an unstable-head slot there.
+// Checking at the flip, not later, keeps anti-entropy (which drops a stale
+// slot on its next round) from hiding a slot the epoch change left behind.
+// Returns how many (node, key) head moves it checked.
+size_t CheckHeadSlotsAtFlip(Cluster* cluster, uint32_t count, uint64_t epoch,
+                            const Ring& ring_before, int records) {
+  size_t moved = 0;
+  std::vector<bool> flipped(count, false);
+  for (int slice = 0; slice < 10000; ++slice) {
+    bool all = true;
+    for (uint32_t idx = 0; idx < count; ++idx) {
+      const ChainReactionNode* node = cluster->crx_node(0, idx);
+      if (flipped[idx] || node->epoch() == epoch) {
+        all = all && flipped[idx];
+        continue;
+      }
+      flipped[idx] = true;
+      const NodeId addr = cluster->ServerAddress(0, idx);
+      const Ring& ring_now = cluster->membership(0)->ring();
+      for (int i = 0; i < records; ++i) {
+        const Key key = RecordKey(static_cast<uint64_t>(i));
+        if (ring_before.HeadFor(key) != addr ||
+            (ring_now.Contains(addr) && ring_now.HeadFor(key) == addr)) {
+          continue;
+        }
+        moved++;
+        if (const KeyRecord* rec = node->store().Lookup(key)) {
+          EXPECT_EQ(rec->slots.unstable_head, 0u) << key << " on node " << idx;
+        }
+      }
+    }
+    if (all) {
+      break;
+    }
+    cluster->sim()->RunUntil(cluster->sim()->Now() + 1 * kMillisecond);
+  }
+  return moved;
+}
+
+// Keys whose chain moves away from a node (a join, then a drain, under a
+// write load) leave that node no unstable-head slot at the flip, and, once
+// the load has settled, no pending stability notify and no record without
+// a version.
+TEST(CrxRecords, ChainMoveLeavesNoSlotBehind) {
+  ClusterOptions opts = SmallCrx(8, 3);
+  opts.heartbeat_interval = 50 * kMillisecond;
+  opts.seed = 19;
+  Cluster cluster(opts);
+  constexpr int kRecords = 200;
+  cluster.Preload(kRecords, 64);
+
+  StatsCollector stats;
+  uint64_t insert_counter = kRecords;
+  std::vector<std::unique_ptr<WorkloadDriver>> drivers;
+  for (size_t i = 0; i < cluster.num_clients(); ++i) {
+    drivers.push_back(std::make_unique<WorkloadDriver>(
+        cluster.client(i), cluster.client_env(i), WorkloadSpec::A(kRecords, 64), 500 + i,
+        &insert_counter, &stats));
+    drivers.back()->Start();
+  }
+  cluster.sim()->RunUntil(cluster.sim()->Now() + 200 * kMillisecond);
+
+  size_t moved = 0;
+  Ring ring_before = cluster.membership(0)->ring();
+  uint32_t joined = 0;
+  ASSERT_NE(cluster.AddJoiningServer(0, &joined), 0u);
+  moved += CheckHeadSlotsAtFlip(&cluster, joined, ring_before.epoch(), ring_before, kRecords);
+  ASSERT_TRUE(cluster.WaitMigrationIdle(0));
+  cluster.sim()->RunUntil(cluster.sim()->Now() + 100 * kMillisecond);
+  ring_before = cluster.membership(0)->ring();
+  ASSERT_NE(cluster.DrainServer(0, 2), 0u);
+  moved += CheckHeadSlotsAtFlip(&cluster, joined + 1, ring_before.epoch(), ring_before, kRecords);
+  ASSERT_TRUE(cluster.WaitMigrationIdle(0));
+  EXPECT_GT(moved, 0u);
+  cluster.sim()->RunUntil(cluster.sim()->Now() + 100 * kMillisecond);
+  for (auto& d : drivers) {
+    d->Stop();
+  }
+  cluster.sim()->RunUntil(cluster.sim()->Now() + 1 * kSecond);
+  EXPECT_EQ(cluster.coordinator(0)->completed(), 2u);
+
+  for (uint32_t idx = 0; idx <= joined; ++idx) {
+    const ChainReactionNode* node = cluster.crx_node(0, idx);
+    EXPECT_EQ(node->unstable_head_keys_count(), 0u) << "node " << idx;
+    EXPECT_EQ(node->stable_notifies_pending(), 0u) << "node " << idx;
+    EXPECT_EQ(node->store().RecordCount(), node->store().KeyCount()) << "node " << idx;
+  }
 }
 
 }  // namespace

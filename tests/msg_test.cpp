@@ -293,7 +293,8 @@ TEST(MessageFuzz, EveryStruct) {
     m->trace = FuzzTrace(rng);
     m->stable_cut = rng->NextBelow(1ull << 40);
   });
-  FuzzStruct<CrxStableNotify>("CrxStableNotify", 107, [](CrxStableNotify* m, Rng* rng) {
+  FuzzStruct<CrxStableNotify, CrxStableNotifyView>("CrxStableNotify", 107,
+                                                    [](CrxStableNotify* m, Rng* rng) {
     m->key = FuzzKey(rng);
     m->version = FuzzVersion(rng);
     m->epoch = rng->NextBelow(100);
@@ -1040,6 +1041,7 @@ TEST(WireGolden, ViewCrxFramesMatchRecordedBodies) {
   ExpectGolden("CrxChainPut", CrxChainPutView::From(chain));
   ExpectGolden("CrxGet", CrxGetView::From(get));
   ExpectGolden("CrxGetReply", GoldenCrxGetReplyView(reply));
+  ExpectGolden("CrxStableNotify", CrxStableNotifyView::From(GoldenCrxStableNotify()));
 }
 
 // ---------------------------------------------------------------------------
