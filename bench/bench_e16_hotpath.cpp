@@ -6,17 +6,17 @@
 // Cells:
 //   baseline_1loop_per_node — the seed deployment: one single-loop runtime
 //       per node, per-frame write(), every post via mutex + wake pipe
-//   overhaul_1loop_batched  — consolidated runtime, coalesced writev
-//       flushes, cumulative-ack windows, one loop
-//   overhaul_4loops_batched — same plus 4 event loops with ring-segment
-//       sharding (`kv_shell --loop-threads=4`); needs cores to win
+//   overhaul_1loop  — consolidated runtime, coalesced writev flushes,
+//       per-turn ack coalescing, one loop
+//   overhaul_4loops — same plus 4 event loops with ring-segment sharding
+//       (`kv_shell --loop-threads=4`); needs cores to win
 // The headline speedup compares the baseline against the overhaul cell
 // sized for the machine's core count.
 // Reported: put throughput, p50/p99 completion latency, allocations per op
 // (global operator-new hook), and the runtime's writev coalescing counters.
 //
 // A second table sweeps the loop count (`--loops 1,2,4,8` to override) on
-// the batched deployment, holding everything else fixed — the scaling curve
+// the overhaul deployment, holding everything else fixed — the scaling curve
 // for "how many event loops should this box run". Each point lands in the
 // JSON as loops_N.
 //
@@ -69,7 +69,6 @@ namespace {
 struct CellSpec {
   std::string name;
   uint32_t loop_threads = 1;
-  Duration ack_batch_window = 0;
   bool per_node_runtimes = false;  // seed deployment: 1 single-loop runtime/node
   bool coalesced_io = true;        // false = pre-overhaul per-frame write()
   uint32_t trace_sample_every = 0;  // >0: sampled tracing + post-run assembly
@@ -111,7 +110,6 @@ CellOutcome RunHotpathCell(const CellSpec& spec, Duration duration) {
   opts.config.k_stability = 2;
   opts.config.num_dcs = 1;
   opts.config.client_timeout = 2 * kSecond;
-  opts.config.ack_batch_window = spec.ack_batch_window;
   opts.per_node_runtimes = spec.per_node_runtimes;
   opts.coalesced_io = spec.coalesced_io;
   MetricsRegistry metrics;
@@ -217,16 +215,16 @@ int Main(int argc, char** argv) {
   // post through the mutex + wake pipe. The overhaul cell is what
   // `kv_shell --loop-threads=4` now runs: all nodes consolidated into one
   // 4-loop runtime with ring-segment affinity, coalesced writev flushes,
-  // and cumulative-ack windows. The middle cell isolates consolidation
+  // and per-turn ack coalescing. The middle cell isolates consolidation
   // from loop-count scaling (which needs cores to show up).
-  // The traced cell repeats overhaul_1loop_batched with 1/64 end-to-end
+  // The traced cell repeats overhaul_1loop with 1/64 end-to-end
   // sampling + post-run assembly — its throughput delta vs. the untraced
   // twin is the cost of the whole tracing plane.
   const CellSpec cells[] = {
-      {"baseline_1loop_per_node", 1, 0, /*per_node=*/true, /*coalesced=*/false},
-      {"overhaul_1loop_batched", 1, 100, false, true},
-      {"overhaul_4loops_batched", 4, 100 /*us*/, false, true},
-      {"overhaul_1loop_traced", 1, 100, false, true, /*trace 1/N=*/64},
+      {"baseline_1loop_per_node", 1, /*per_node=*/true, /*coalesced=*/false},
+      {"overhaul_1loop", 1, false, true},
+      {"overhaul_4loops", 4, false, true},
+      {"overhaul_1loop_traced", 1, false, true, /*trace 1/N=*/64},
   };
   // Loop-count scaling needs cores; the headline number compares the
   // baseline against the overhaul cell sized for this machine.
@@ -330,14 +328,14 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  // Loop-count scaling sweep: the batched deployment at each loop count.
+  // Loop-count scaling sweep: the overhaul deployment at each loop count.
   // Points past the core count show the flattening (or inversion) that says
   // "stop adding loops here".
-  PrintTableHeader("E16b: loop-count scaling, batched deployment",
+  PrintTableHeader("E16b: loop-count scaling, overhaul deployment",
                    {"loops", "ops/s", "p50", "p99", "vs 1 loop"});
   std::vector<CellOutcome> sweep;
   for (const uint32_t loops : sweep_loops) {
-    const CellSpec spec{"loops_" + std::to_string(loops), loops, 100, false, true};
+    const CellSpec spec{"loops_" + std::to_string(loops), loops, false, true};
     const CellOutcome out = RunHotpathCell(spec, duration);
     sweep.push_back(out);
     const double rel =

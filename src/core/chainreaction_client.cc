@@ -141,7 +141,7 @@ void ChainReactionClient::SendPut(RequestId req) {
     if (op.head_sampled || sampling_.capture_all()) {
       op.trace.id = MakeTraceId(address_, req);
       TraceHopAndReport(&op.trace, trace_sink_, HopKind::kClientPut, address_, config_.local_dc,
-                        static_cast<uint32_t>(op.deps.size()), env_->Now());
+                        static_cast<uint32_t>(op.deps.size()), env_);
     }
   }
   op.attempts++;
@@ -321,7 +321,7 @@ void ChainReactionClient::HandlePutAck(const CrxPutAck& ack) {
   if (ack.trace.active()) {
     TraceContext done = ack.trace;
     TraceHopAndReport(&done, trace_sink_, HopKind::kClientAck, address_, config_.local_dc,
-                      ack.acked_at, env_->Now());
+                      ack.acked_at, env_);
     // Tail decision: slow puts are always retained (never lost to the
     // sampler); fast ones survive only if head-sampled.
     if (sampling_.capture_all() && trace_sink_ != nullptr) {

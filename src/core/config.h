@@ -53,21 +53,8 @@ struct CrxConfig {
   // Retry timeout for client requests.
   Duration client_timeout = 500 * kMillisecond;
 
-  // Tails coalesce backward stability notifications per key for this long
-  // (hot keys stabilize many versions per notification instead of one
-  // message each). 0 sends immediately.
-  Duration stable_notify_delay = 100;  // microseconds
-
-  // Nodes at the k-stability position coalesce client acks per client for
-  // this long and reply with one cumulative CrxPutAckBatch per window
-  // instead of one CrxPutAck per put. 0 (the default) sends each ack
-  // immediately — the pre-batching wire behavior.
-  Duration ack_batch_window = 0;  // microseconds
-
-  // Geo replicators coalesce outgoing GeoShips per peer DC for this long
-  // and send one GeoShipBatch per window. 0 (the default) ships each
-  // stable version in its own frame.
-  Duration geo_ship_batch_window = 0;  // microseconds
+  // No setting delays the write path: k-acks and the tail's stability
+  // notifies coalesce per event-loop turn, with no timer (DESIGN.md §10).
 
   ReadPolicy read_policy = ReadPolicy::kUniformPrefix;
 

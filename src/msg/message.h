@@ -85,7 +85,6 @@ enum class MsgType : uint16_t {
   kGeoApplied = 62,
   kGeoRemotePut = 63,
   kGeoLocalStableAck = 64,
-  kGeoShipBatch = 65,
 
   // Membership / chain repair.
   kMemNewMembership = 70,
@@ -398,21 +397,16 @@ struct CrxPutAck {
   }
 };
 
-// Node at position k -> client: cumulative acknowledgement. With ack
-// batching on (CrxConfig::ack_batch_window > 0), the acking node coalesces
-// the per-put acks destined for one client over a short window into a
-// single frame, collapsing the k-stability ack storm. `up_to_seq` is the
-// highest chain-pipeline sequence number (CrxChainPut::chain_seq) among the
-// batched puts on the incoming link; every put with a lower sequence on
-// that link is covered by an entry in `acks`. Entries are in ack order, so
-// processing them sequentially is identical to receiving individual acks.
+// Node at position k -> client: the acks for one client produced in one
+// event-loop turn, when there are two or more (a lone ack goes out as a
+// plain CrxPutAck). Entries are in ack order, so processing them
+// sequentially is identical to receiving individual acks.
 struct CrxPutAckBatch {
   static constexpr MsgType kType = MsgType::kCrxPutAckBatch;
-  uint64_t up_to_seq = 0;
   std::vector<CrxPutAck> acks;
 
   template <class S, class F>
-  static auto Fields(S& m, F&& f) { return f(m.up_to_seq, m.acks); }
+  static auto Fields(S& m, F&& f) { return f(m.acks); }
 };
 
 // Client -> any node in its allowed chain prefix.
@@ -467,7 +461,7 @@ struct CrxChainPut {
   uint64_t epoch = 0;     // membership epoch the sender believed in
   // Pipelining sequence number, monotone per (sender, successor) link; 0
   // for out-of-band re-propagation (anti-entropy, chain repair). Receivers
-  // use it for cumulative acking (CrxPutAckBatch::up_to_seq).
+  // record it on the kChainRecv trace hop.
   uint64_t chain_seq = 0;
   std::vector<Dependency> deps;  // shipped to the geo replicator at the tail
   TraceContext trace;     // per-hop annotations of the traced write
@@ -908,20 +902,6 @@ struct GeoShip {
   static auto Fields(S& m, F&& f) {
     return f(m.origin_dc, m.channel_seq, m.key, m.value, m.version, m.deps, m.trace);
   }
-};
-
-// Origin replicator -> peer replicator: several stable versions shipped in
-// one frame. With CrxConfig::geo_ship_batch_window > 0, outgoing GeoShips
-// for one peer are coalesced over a short window; the receiver processes
-// the entries in order, exactly as if they had arrived as individual
-// GeoShip frames (channel FIFO order is preserved, retransmission remains
-// per-entry).
-struct GeoShipBatch {
-  static constexpr MsgType kType = MsgType::kGeoShipBatch;
-  std::vector<GeoShip> ships;
-
-  template <class S, class F>
-  static auto Fields(S& m, F&& f) { return f(m.ships); }
 };
 
 // Peer replicator -> origin replicator: the update is applied (and locally

@@ -446,6 +446,15 @@ int TraceAssembler::PullHttp(uint16_t port) {
     if (line.empty()) {
       continue;
     }
+    // Once the assembly is full, a partial for an id it does not hold would
+    // evict the oldest trace it does, and a run with more traced requests
+    // than that would lose every partial merged before the pulls (the
+    // client sides): keep what is being assembled and skip the newcomer.
+    TraceCollector::Trace held;
+    if (collector_.size() >= TraceCollector::kMaxTraces &&
+        !collector_.Find(std::strtoull(line.c_str(), nullptr, 16), &held)) {
+      continue;
+    }
     HttpClientResponse resp = HttpGet(port, "/traces/" + line + "?format=json");
     if (!resp.ok || resp.status != 200) {
       continue;

@@ -148,8 +148,9 @@ class TraceCollector {
   static std::string Render(const Trace& trace);
   static std::string RenderJson(const Trace& trace);
 
- private:
   static constexpr size_t kMaxTraces = 4096;   // oldest evicted beyond this
+
+ private:
   static constexpr size_t kMaxHopsPerTrace = 512;
   static constexpr size_t kMaxNotesPerTrace = 8;
 
@@ -162,16 +163,17 @@ class TraceCollector {
   std::set<uint64_t> retained_;  // ids pinned by the tail sampler
 };
 
-// Appends a hop and reports the running context to `sink` (if any), so the
-// collector holds a usable partial trace even if a downstream message is
-// lost. No-op for untraced contexts.
-inline void TraceHopAndReport(TraceContext* trace, TraceCollector* sink, HopKind kind,
-                              uint32_t node, uint16_t dc, uint32_t detail, Time at,
-                              uint64_t aux = 0) {
+// Appends a hop stamped `clock->Now()` and reports the running context to
+// `sink` (if any), so the collector holds a usable partial trace even if a
+// downstream message is lost. No-op for untraced contexts, which do not
+// read the clock.
+template <typename Clock>
+void TraceHopAndReport(TraceContext* trace, TraceCollector* sink, HopKind kind, uint32_t node,
+                       uint16_t dc, uint32_t detail, Clock* clock, uint64_t aux = 0) {
   if (trace == nullptr || !trace->active()) {
     return;
   }
-  trace->Annotate(kind, node, dc, detail, at, aux);
+  trace->Annotate(kind, node, dc, detail, clock->Now(), aux);
   if (sink != nullptr) {
     sink->Report(*trace);
   }

@@ -30,17 +30,11 @@ class SimEnv : public Env {
   }
 
   uint64_t Schedule(Duration delay, std::function<void()> fn) override {
-    // Timers die with the actor: a crashed node must not wake up, and
-    // neither may one whose registration is gone — a restarted node
-    // registers anew at the same address, and its predecessor's timers
-    // would otherwise run against this (destroyed) Env.
     const Address self = self_;
     const uint64_t incarnation = incarnation_;
     SimNetwork* net = net_;
-    return net_->sim_->Schedule(delay, [net, self, incarnation, fn = std::move(fn)]() {
-      if (net->TimerLive(self, incarnation)) {
-        fn();
-      }
+    return net_->sim_->Schedule(delay, [net, self, incarnation, fn = std::move(fn)]() mutable {
+      net->FireTimer(self, incarnation, std::move(fn));
     });
   }
 
@@ -59,6 +53,8 @@ struct SimNetwork::Endpoint {
   Time busy_until = 0;
   uint64_t processed = 0;
   uint64_t incarnation = 0;  // which Register() call made this endpoint
+  // Timers that came due while the endpoint was crashed; Restore runs them.
+  std::vector<std::function<void()>> parked_timers;
   std::unique_ptr<SimEnv> env;
 };
 
@@ -92,12 +88,21 @@ Env* SimNetwork::Register(Address addr, Actor* actor, SiteId site, ServiceModel 
 
 void SimNetwork::Unregister(Address addr) { endpoints_.erase(addr); }
 
-bool SimNetwork::TimerLive(Address addr, uint64_t incarnation) const {
-  if (IsCrashed(addr)) {
-    return false;
-  }
+void SimNetwork::FireTimer(Address addr, uint64_t incarnation, std::function<void()> fn) {
+  // A timer dies with its registration: a restarted node registers anew
+  // at the same address, and its predecessor's timers would otherwise run
+  // against this (destroyed) Env.
   auto it = endpoints_.find(addr);
-  return it != endpoints_.end() && it->second->incarnation == incarnation;
+  if (it == endpoints_.end() || it->second->incarnation != incarnation) {
+    return;
+  }
+  // A crashed node does not wake up. Restore resumes it where it stopped,
+  // so a flag that says "my timer is armed" stays true.
+  if (crashed_.contains(addr)) {
+    it->second->parked_timers.push_back(std::move(fn));
+    return;
+  }
+  fn();
 }
 
 void SimNetwork::SetInterSiteLatency(SiteId a, SiteId b, LinkModel link) {
@@ -214,7 +219,19 @@ void SimNetwork::Deliver(Address src, Address dst, Payload payload) {
 
 void SimNetwork::Crash(Address addr) { crashed_.insert(addr); }
 
-void SimNetwork::Restore(Address addr) { crashed_.erase(addr); }
+void SimNetwork::Restore(Address addr) {
+  crashed_.erase(addr);
+  auto it = endpoints_.find(addr);
+  if (it == endpoints_.end()) {
+    return;
+  }
+  const uint64_t incarnation = it->second->incarnation;
+  for (auto& fn : std::exchange(it->second->parked_timers, {})) {
+    sim_->Schedule(0, [this, addr, incarnation, fn = std::move(fn)]() mutable {
+      FireTimer(addr, incarnation, std::move(fn));
+    });
+  }
+}
 
 void SimNetwork::PartitionSites(SiteId a, SiteId b) {
   partitioned_site_pairs_.insert(SitePairKey(a, b));

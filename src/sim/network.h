@@ -20,6 +20,7 @@
 #define SRC_SIM_NETWORK_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -76,7 +77,10 @@ class SimNetwork {
   void Send(Address src, Address dst, Payload payload);
 
   // Fault injection --------------------------------------------------------
-  void Crash(Address addr);       // silently drops all traffic to/from addr
+  // Crash silently drops all traffic to/from addr, and its timers wait:
+  // Restore brings the actor back with its memory and runs, at once, the
+  // timers that came due while it was down.
+  void Crash(Address addr);
   void Restore(Address addr);
   bool IsCrashed(Address addr) const { return crashed_.contains(addr); }
 
@@ -103,9 +107,8 @@ class SimNetwork {
 
   struct Endpoint;
 
-  // True while the endpoint made by Register() call `incarnation` is still
-  // registered at `addr` and not crashed: its timers may fire.
-  bool TimerLive(Address addr, uint64_t incarnation) const;
+  // Runs a timer of the endpoint made by Register() call `incarnation`.
+  void FireTimer(Address addr, uint64_t incarnation, std::function<void()> fn);
   Duration SampleLatency(SiteId from, SiteId to);
   void Deliver(Address src, Address dst, Payload payload);
   void CountDrop() {

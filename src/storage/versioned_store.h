@@ -87,8 +87,9 @@ struct KeySlots {
   Time unstable_since = -1;
   // 1 + the key's index in the node's unstable-head list; 0 = not listed.
   uint32_t unstable_head = 0;
-  // 1 + the key's sequence number in the node's stable-notify FIFO; 0 = no
-  // coalesced notify pending. The coalesced version rides the FIFO entry.
+  // 1 + the index of the key's entry in the node's per-turn stable-notify
+  // vector; 0 = no coalesced notify pending. The coalesced version rides
+  // the entry.
   uint64_t notify_seq = 0;
 
   bool StableCovers(const VersionVector& vv) const {

@@ -245,7 +245,8 @@ TEST(TelemetryServer, ServesCriticalPathEndpoint) {
 // Satellite: cross-node assembly over a real TCP deployment. Each node's
 // hops are visible only through its own TelemetryServer; the assembler must
 // reconstruct full timelines via HTTP pulls + the client partials, under
-// the multi-loop runtime with pipelined cumulative acks.
+// the multi-loop runtime with pipelined puts, whose acks coalesce per loop
+// turn (traced acks ride inside CrxPutAckBatch frames too).
 TEST(TcpAssembly, CrossNodeTimelinesOverPerNodeTelemetry) {
   MetricsRegistry metrics;
   TcpCluster::Options opts;
@@ -257,7 +258,6 @@ TEST(TcpAssembly, CrossNodeTimelinesOverPerNodeTelemetry) {
   opts.config.replication = 3;
   opts.config.k_stability = 2;
   opts.config.client_timeout = 5 * kSecond;
-  opts.config.ack_batch_window = 100;  // pipelined cumulative acks
   opts.config.trace_sample_every = 8;
   opts.metrics = &metrics;
   opts.per_node_telemetry = true;
@@ -272,6 +272,7 @@ TEST(TcpAssembly, CrossNodeTimelinesOverPerNodeTelemetry) {
   const TcpCluster::LoadResult result = cluster.RunClosedLoop(load);
   ASSERT_GT(result.ops, 0u);
   EXPECT_EQ(result.failures, 0u);
+  EXPECT_GT(metrics.Snapshot().SumCounters("crx_ack_batched"), 0);
 
   // The client partials landed in the client-side collector only.
   ASSERT_GT(cluster.client_collector()->size(), 0u);

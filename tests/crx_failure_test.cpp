@@ -214,6 +214,98 @@ TEST(CrxFailure, NewChainMemberServesAfterSync) {
   }
 }
 
+// Steps the simulator one event at a time until a live node holds a
+// backward stability notify that waits for its end-of-turn flush, that is,
+// until the flush is armed but has not run. Returns the node's index, or -1.
+int StepUntilFlushArmed(Cluster* cluster) {
+  for (int events = 0; events < 1000000 && cluster->sim()->Step(); ++events) {
+    for (uint32_t idx = 0; idx < cluster->options().servers_per_dc; ++idx) {
+      if (!cluster->net()->IsCrashed(cluster->ServerAddress(0, idx)) &&
+          cluster->crx_node(0, idx)->stable_notifies_pending() > 0) {
+        return static_cast<int>(idx);
+      }
+    }
+  }
+  return -1;
+}
+
+// The end-of-turn flush survives the faults that can land between arming
+// it and running it: an epoch change, a crash the node comes back from in
+// place, and a crash it never comes back from. No node is left with a
+// flush armed forever: puts keep being acked and notifies keep flowing.
+TEST(CrxFailure, FaultBetweenArmingAndFlushLeavesNoFlushArmed) {
+  Cluster cluster(FailureOpts(41));
+  cluster.Preload(100, 64);
+  auto notify_bytes = [&cluster] {
+    const auto& by_tag = cluster.net()->bytes_by_tag();
+    auto it = by_tag.find(static_cast<uint16_t>(MsgType::kCrxStableNotify));
+    return it == by_tag.end() ? uint64_t{0} : it->second;
+  };
+  size_t acked = 0;
+  auto start_puts = [&cluster, &acked](const std::string& prefix) {
+    for (size_t c = 0; c < cluster.num_clients(); ++c) {
+      cluster.crx_client(c)->Put(prefix + std::to_string(c), "v", [&acked](const auto& r) {
+        acked += r.status.ok() ? 1 : 0;
+      });
+    }
+  };
+
+  // Epoch change: the node learns a new ring while its notify waits, as if
+  // the announcement arrived earlier in the same loop turn.
+  start_puts("epoch-");
+  const int changed = StepUntilFlushArmed(&cluster);
+  ASSERT_GE(changed, 0);
+  ChainReactionNode* node = cluster.crx_node(0, static_cast<uint32_t>(changed));
+  cluster.KillServer(0, (static_cast<uint32_t>(changed) + 1) % 10);
+  MemNewMembership announce;
+  announce.epoch = cluster.membership(0)->epoch();
+  announce.nodes = cluster.membership(0)->nodes();
+  announce.weights = cluster.membership(0)->Weights();
+  node->OnMessage(0, EncodeMessage(announce));
+  ASSERT_EQ(node->epoch(), announce.epoch);
+  ASSERT_GT(node->stable_notifies_pending(), 0u);
+  cluster.sim()->RunUntil(cluster.sim()->Now());
+  EXPECT_EQ(node->stable_notifies_pending(), 0u) << "the armed flush ran in the new epoch";
+  cluster.sim()->Run();
+
+  // Crash in place: the flush waits out the crash and runs on restore.
+  start_puts("pause-");
+  const int paused = StepUntilFlushArmed(&cluster);
+  ASSERT_GE(paused, 0);
+  node = cluster.crx_node(0, static_cast<uint32_t>(paused));
+  const NodeId paused_addr = cluster.ServerAddress(0, static_cast<uint32_t>(paused));
+  cluster.net()->Crash(paused_addr);
+  cluster.sim()->RunUntil(cluster.sim()->Now() + 5 * kMillisecond);
+  EXPECT_GT(node->stable_notifies_pending(), 0u);
+  cluster.net()->Restore(paused_addr);
+  cluster.sim()->RunUntil(cluster.sim()->Now());
+  EXPECT_EQ(node->stable_notifies_pending(), 0u) << "the flush ran on restore";
+  cluster.sim()->Run();
+
+  // Crash for good: the flush dies with the node; the new chains carry on.
+  start_puts("kill-");
+  const int killed = StepUntilFlushArmed(&cluster);
+  ASSERT_GE(killed, 0);
+  cluster.KillServer(0, static_cast<uint32_t>(killed));
+  cluster.sim()->Run();
+
+  EXPECT_EQ(acked, 3 * cluster.num_clients());
+  const uint64_t notifies_before = notify_bytes();
+  start_puts("after-");
+  cluster.sim()->Run();
+  EXPECT_EQ(acked, 4 * cluster.num_clients());
+  EXPECT_GT(notify_bytes(), notifies_before);
+  for (uint32_t idx = 0; idx < 10; ++idx) {
+    if (cluster.net()->IsCrashed(cluster.ServerAddress(0, idx))) {
+      continue;
+    }
+    EXPECT_EQ(cluster.crx_node(0, idx)->stable_notifies_pending(), 0u) << "node " << idx;
+    EXPECT_EQ(cluster.crx_node(0, idx)->unstable_head_keys_count(), 0u) << "node " << idx;
+  }
+  std::string diag;
+  EXPECT_TRUE(cluster.CheckConvergence(&diag)) << diag;
+}
+
 // The crash-restart suite runs under both value engines: recovery must be
 // engine-oblivious (mem replays values from the WAL; disk re-opens the
 // value log, truncates to the checkpoint manifest, and replays the tail).

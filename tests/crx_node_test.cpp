@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -584,6 +585,170 @@ TEST(CrxRecords, ChainMoveLeavesNoSlotBehind) {
     EXPECT_EQ(node->stable_notifies_pending(), 0u) << "node " << idx;
     EXPECT_EQ(node->store().RecordCount(), node->store().KeyCount()) << "node " << idx;
   }
+}
+
+// An Env whose zero-delay timers wait until the test ends the turn (other
+// timers never fire), and which records every frame sent: the test decides
+// which frames one loop turn handles.
+class TurnEnv : public Env {
+ public:
+  struct Frame {
+    Address dst;
+    std::string bytes;
+  };
+
+  Time Now() override { return 1000; }
+  void Send(Address dst, Payload payload) override {
+    sent.push_back(Frame{dst, std::string(payload.view())});
+  }
+  uint64_t Schedule(Duration delay, std::function<void()> fn) override {
+    if (delay == 0) {
+      end_of_turn.push_back(std::move(fn));
+    }
+    return ++timers;
+  }
+  void CancelTimer(uint64_t) override {}
+
+  void EndTurn() {
+    std::vector<std::function<void()>> due;
+    due.swap(end_of_turn);
+    for (auto& fn : due) {
+      fn();
+    }
+  }
+  // The frames sent so far to `dst` of message type `type`.
+  std::vector<std::string> Sent(Address dst, MsgType type) const {
+    std::vector<std::string> out;
+    for (const Frame& f : sent) {
+      if (f.dst == dst && PeekType(f.bytes) == type) {
+        out.push_back(f.bytes);
+      }
+    }
+    return out;
+  }
+
+  std::vector<std::function<void()>> end_of_turn;
+  std::vector<Frame> sent;
+  uint64_t timers = 0;
+};
+
+Version MakeVersion(uint64_t dc0, uint64_t dc1, uint64_t lamport, DcId origin) {
+  Version v;
+  v.vv = VersionVector(2);
+  v.vv.Set(0, dc0);
+  v.vv.Set(1, dc1);
+  v.lamport = lamport;
+  v.origin = origin;
+  return v;
+}
+
+std::string ChainPutFrame(const Ring& ring, const Version& version, Address client,
+                          RequestId req, ChainIndex ack_at) {
+  CrxChainPut m;
+  m.key = "k";
+  m.value = "v" + std::to_string(version.lamport);
+  m.version = version;
+  m.client = client;
+  m.req = req;
+  m.ack_at = ack_at;
+  m.epoch = ring.epoch();
+  return EncodeMessage(m);
+}
+
+CrxConfig TurnConfig() {
+  CrxConfig cfg;
+  cfg.num_dcs = 2;
+  cfg.dep_watermark = false;
+  return cfg;
+}
+
+// A tail that stabilizes several versions of one key in one turn, two of
+// them concurrent, sends one CrxStableNotify for the key at the end of the
+// turn, and that notify dominates every one of them.
+TEST(CrxTurnFlush, TailSendsOneDominatingNotifyPerKeyPerTurn) {
+  const Ring ring({0, 1, 2}, 16, 3, 1);
+  const std::vector<NodeId>& chain = ring.ChainFor("k");
+  ChainReactionNode tail(chain[2], TurnConfig(), ring);
+  TurnEnv env;
+  tail.AttachEnv(&env);
+
+  const Version versions[] = {MakeVersion(1, 0, 1, 0), MakeVersion(2, 0, 2, 0),
+                              MakeVersion(0, 1, 3, 1)};
+  for (const Version& v : versions) {
+    tail.OnMessage(chain[1], ChainPutFrame(ring, v, 0, 0, 0));
+  }
+  EXPECT_EQ(env.end_of_turn.size(), 1u) << "one flush armed per turn";
+  EXPECT_EQ(tail.stable_notifies_pending(), 1u);
+  EXPECT_TRUE(env.Sent(chain[1], MsgType::kCrxStableNotify).empty()) << "sent before turn end";
+
+  env.EndTurn();
+  EXPECT_EQ(tail.stable_notifies_pending(), 0u);
+  std::vector<std::string> notifies = env.Sent(chain[1], MsgType::kCrxStableNotify);
+  ASSERT_EQ(notifies.size(), 1u);
+  CrxStableNotify notify;
+  ASSERT_TRUE(DecodeMessage(notifies[0], &notify));
+  EXPECT_EQ(notify.key, "k");
+  for (const Version& v : versions) {
+    EXPECT_TRUE(notify.version.vv.Dominates(v.vv)) << v.ToString();
+    EXPECT_GE(notify.version.lamport, v.lamport);
+  }
+
+  // The next turn arms its own flush.
+  env.sent.clear();
+  tail.OnMessage(chain[1], ChainPutFrame(ring, MakeVersion(3, 1, 4, 0), 0, 0, 0));
+  EXPECT_EQ(env.end_of_turn.size(), 1u);
+  env.EndTurn();
+  notifies = env.Sent(chain[1], MsgType::kCrxStableNotify);
+  ASSERT_EQ(notifies.size(), 1u);
+  ASSERT_TRUE(DecodeMessage(notifies[0], &notify));
+  EXPECT_EQ(notify.version.lamport, 4u);
+}
+
+// The node at position k sends the acks it produced for one client in one
+// turn as one frame: a lone ack as a plain CrxPutAck, two or more as one
+// CrxPutAckBatch in ack order.
+TEST(CrxTurnFlush, AcksForOneClientShareOneFramePerTurn) {
+  const Ring ring({0, 1, 2}, 16, 3, 1);
+  const std::vector<NodeId>& chain = ring.ChainFor("k");
+  ChainReactionNode middle(chain[1], TurnConfig(), ring);
+  TurnEnv env;
+  middle.AttachEnv(&env);
+  const Address client = kClientAddressBase + 1;
+  const Address other = kClientAddressBase + 2;
+
+  for (uint64_t req = 1; req <= 3; ++req) {
+    middle.OnMessage(chain[0], ChainPutFrame(ring, MakeVersion(req, 0, req, 0), client, req, 2));
+  }
+  middle.OnMessage(chain[0], ChainPutFrame(ring, MakeVersion(4, 0, 4, 0), other, 9, 2));
+  EXPECT_EQ(env.end_of_turn.size(), 1u);
+  EXPECT_TRUE(env.Sent(client, MsgType::kCrxPutAckBatch).empty());
+  env.EndTurn();
+  EXPECT_TRUE(env.Sent(client, MsgType::kCrxPutAck).empty());
+  const std::vector<std::string> batches = env.Sent(client, MsgType::kCrxPutAckBatch);
+  ASSERT_EQ(batches.size(), 1u);
+  CrxPutAckBatch batch;
+  ASSERT_TRUE(DecodeMessage(batches[0], &batch));
+  ASSERT_EQ(batch.acks.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(batch.acks[i].req, i + 1);
+    EXPECT_EQ(batch.acks[i].acked_at, 2u);
+  }
+  std::vector<std::string> plain = env.Sent(other, MsgType::kCrxPutAck);
+  ASSERT_EQ(plain.size(), 1u);
+  CrxPutAck ack;
+  ASSERT_TRUE(DecodeMessage(plain[0], &ack));
+  EXPECT_EQ(ack.req, 9u);
+
+  // A lone ack in a later turn is a plain CrxPutAck, even for a client
+  // that got a batch before.
+  env.sent.clear();
+  middle.OnMessage(chain[0], ChainPutFrame(ring, MakeVersion(5, 0, 5, 0), client, 4, 2));
+  env.EndTurn();
+  EXPECT_TRUE(env.Sent(client, MsgType::kCrxPutAckBatch).empty());
+  plain = env.Sent(client, MsgType::kCrxPutAck);
+  ASSERT_EQ(plain.size(), 1u);
+  ASSERT_TRUE(DecodeMessage(plain[0], &ack));
+  EXPECT_EQ(ack.req, 4u);
 }
 
 }  // namespace

@@ -255,7 +255,6 @@ TEST(MessageFuzz, EveryStruct) {
   });
   FuzzStruct<CrxPutAck>("CrxPutAck", 102, [](CrxPutAck* m, Rng* rng) { *m = FuzzAck(rng); });
   FuzzStruct<CrxPutAckBatch>("CrxPutAckBatch", 103, [](CrxPutAckBatch* m, Rng* rng) {
-    m->up_to_seq = rng->NextBelow(1ull << 40);
     const size_t n = rng->NextBelow(5);
     for (size_t i = 0; i < n; ++i) {
       m->acks.push_back(FuzzAck(rng));
@@ -461,12 +460,6 @@ TEST(MessageFuzz, EveryStruct) {
     m->version = FuzzVersion(rng);
   });
   FuzzStruct<GeoShip>("GeoShip", 503, [](GeoShip* m, Rng* rng) { *m = FuzzShip(rng); });
-  FuzzStruct<GeoShipBatch>("GeoShipBatch", 504, [](GeoShipBatch* m, Rng* rng) {
-    const size_t n = rng->NextBelow(4);
-    for (size_t i = 0; i < n; ++i) {
-      m->ships.push_back(FuzzShip(rng));
-    }
-  });
   FuzzStruct<GeoApplied>("GeoApplied", 505, [](GeoApplied* m, Rng* rng) {
     m->dest_dc = static_cast<DcId>(rng->NextBelow(4));
     m->channel_seq = rng->NextBelow(1ull << 40);
@@ -613,7 +606,6 @@ TEST(MessageDecode, HugeListCountRejectedBeforeAllocating) {
   ExpectHugeListRejected("CrxChainPutView.deps", &CrxChainPutView::deps);
   ExpectHugeListRejected("GeoLocalStable.deps", &GeoLocalStable::deps);
   ExpectHugeListRejected("GeoShip.deps", &GeoShip::deps);
-  ExpectHugeListRejected("GeoShipBatch.ships", &GeoShipBatch::ships);
   ExpectHugeListRejected("GeoRemotePut.deps", &GeoRemotePut::deps);
   ExpectHugeListRejected("MemNewMembership.nodes", &MemNewMembership::nodes);
   ExpectHugeListRejected("MemNewMembership.weights", &MemNewMembership::weights);
@@ -655,7 +647,6 @@ TEST(MessageDecode, HugeNestedListCountRejected) {
 TEST(MessageDecode, ListCountAboveCapRejectedWhateverTheFrameLength) {
   ByteWriter w;
   w.PutU16(static_cast<uint16_t>(MsgType::kCrxPutAckBatch));
-  w.PutVarU64(0);        // up_to_seq
   w.PutVarU64(1u << 21);  // acks
   const std::string frame = w.Take() + std::string(1u << 21, '\0');
   CrxPutAckBatch out;
@@ -669,7 +660,6 @@ TEST(MessageDecode, ListCountAboveCapRejectedWhateverTheFrameLength) {
 TEST(MessageDecode, ListGrowsWithDecodedElementsNotTheClaim) {
   ByteWriter w;
   w.PutU16(static_cast<uint16_t>(MsgType::kCrxPutAckBatch));
-  w.PutVarU64(0);
   w.PutVarU64(wire::kMaxListCount);
   const std::string frame = w.Take() + std::string(wire::kMaxListCount, '\0');
   CrxPutAckBatch out;
@@ -845,7 +835,6 @@ CrxPutAck GoldenCrxPutAck() {
 
 CrxPutAckBatch GoldenCrxPutAckBatch() {
   CrxPutAckBatch m;
-  m.up_to_seq = 5000;
   m.acks.push_back(GoldenCrxPutAck());
   CrxPutAck second;
   second.req = 78;
@@ -959,8 +948,8 @@ const GoldenFrame kGoldenFrames[] = {
      "4d0a676f6c64656e2d61636b03ac0201f0a20487ad4b020290f1d9a2a3020201070002d00f000bac0201f0a2"
      "040980808080802003a01f"},
     {"CrxPutAckBatch", 14,
-     "8827024d0a676f6c64656e2d61636b03ac0201f0a20487ad4b020290f1d9a2a3020201070002d00f000bac02"
-     "01f0a2040980808080802003a01f4e026b3200000000000000"},
+     "024d0a676f6c64656e2d61636b03ac0201f0a20487ad4b020290f1d9a2a3020201070002d00f000bac0201f0"
+     "a2040980808080802003a01f4e026b3200000000000000"},
     {"CrxGet", 12,
      "ab0486808080010a676f6c64656e2d67657403ac0201f0a20487ad4b0201"},
     {"CrxGetReply", 13,

@@ -365,10 +365,13 @@ TEST(TcpTransportMultiLoop, CrossLoopChainTraffic) {
   }
 }
 
-// Same workload with pipelining + cumulative-ack batching on: ack batches
-// must cover every outstanding put (no lost completions) and preserve
-// per-key version monotonicity.
+// Per-turn ack coalescing over real sockets: a node sends the acks it
+// produced for one client in one loop turn as one frame, a CrxPutAckBatch
+// when there are two or more (crx_ack_batched counts the acks those frames
+// carry). Pipelined sessions get some of their acks in batches; a batch
+// must cover every outstanding put it acks (no lost completions).
 TEST(TcpTransportMultiLoop, PipelinedPutsWithAckBatching) {
+  MetricsRegistry metrics;
   TcpCluster::Options opts;
   opts.num_nodes = 6;
   opts.loop_threads = 2;
@@ -377,7 +380,7 @@ TEST(TcpTransportMultiLoop, PipelinedPutsWithAckBatching) {
   opts.config.k_stability = 2;
   opts.config.num_dcs = 1;
   opts.config.client_timeout = 2 * kSecond;
-  opts.config.ack_batch_window = 100;  // microseconds
+  opts.metrics = &metrics;
   TcpCluster cluster(opts);
 
   TcpCluster::LoadOptions load;
@@ -389,6 +392,34 @@ TEST(TcpTransportMultiLoop, PipelinedPutsWithAckBatching) {
   const TcpCluster::LoadResult result = cluster.RunClosedLoop(load);
   EXPECT_GT(result.ops, 0u);
   EXPECT_EQ(result.failures, 0u) << "every pipelined put must be acked";
+  EXPECT_GT(metrics.Snapshot().SumCounters("crx_ack_batched"), 0) << "no ack batch in 300 ms";
+}
+
+// A session with one put outstanding has at most one ack in flight, so
+// every ack it gets is a plain CrxPutAck: nothing waits to be batched.
+TEST(TcpTransportMultiLoop, SingleOutstandingPutsGetPlainAcks) {
+  MetricsRegistry metrics;
+  TcpCluster::Options opts;
+  opts.num_nodes = 6;
+  opts.loop_threads = 2;
+  opts.num_clients = 4;
+  opts.config.replication = 3;
+  opts.config.k_stability = 2;
+  opts.config.num_dcs = 1;
+  opts.config.client_timeout = 2 * kSecond;
+  opts.metrics = &metrics;
+  TcpCluster cluster(opts);
+
+  TcpCluster::LoadOptions load;
+  load.duration = 200 * kMillisecond;
+  load.value_size = 64;
+  load.key_space = 16;
+  load.get_fraction = 0.0;
+  load.pipeline = 1;
+  const TcpCluster::LoadResult result = cluster.RunClosedLoop(load);
+  EXPECT_GT(result.ops, 0u);
+  EXPECT_EQ(result.failures, 0u);
+  EXPECT_EQ(metrics.Snapshot().SumCounters("crx_ack_batched"), 0);
 }
 
 // Watermark dependency compression over real sockets: the varint frames

@@ -382,18 +382,29 @@ TEST(TraceCollector, RenderNamesEveryHop) {
 }
 
 TEST(TraceHopHelper, NoOpWithoutActiveTraceOrSink) {
+  struct CountingClock {
+    int reads = 0;
+    Time Now() {
+      reads++;
+      return 10;
+    }
+  } clock;
   TraceContext inactive;
   TraceCollector col;
-  TraceHopAndReport(&inactive, &col, HopKind::kClientPut, 1, 0, 0, 10);
+  TraceHopAndReport(&inactive, &col, HopKind::kClientPut, 1, 0, 0, &clock);
   EXPECT_TRUE(inactive.hops.empty());
   EXPECT_EQ(col.size(), 0u);
+  EXPECT_EQ(clock.reads, 0);  // an untraced hop does not read the clock
 
   TraceContext active;
   active.id = 1;
-  TraceHopAndReport(&active, nullptr, HopKind::kClientPut, 1, 0, 0, 10);
+  TraceHopAndReport(&active, nullptr, HopKind::kClientPut, 1, 0, 0, &clock);
   ASSERT_EQ(active.hops.size(), 1u);  // annotates even with no collector
-  TraceHopAndReport(nullptr, &col, HopKind::kClientPut, 1, 0, 0, 10);
+  EXPECT_EQ(active.hops[0].at, 10);
+  EXPECT_EQ(clock.reads, 1);
+  TraceHopAndReport(nullptr, &col, HopKind::kClientPut, 1, 0, 0, &clock);
   EXPECT_EQ(col.size(), 0u);
+  EXPECT_EQ(clock.reads, 1);
 }
 
 // Client session gauges ------------------------------------------------------

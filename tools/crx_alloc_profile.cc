@@ -122,7 +122,6 @@ int Main(int argc, char** argv) {
   opts.config.k_stability = 2;
   opts.config.num_dcs = 1;
   opts.config.client_timeout = 2 * kSecond;
-  opts.config.ack_batch_window = 100;
   TcpCluster cluster(opts);
 
   TcpCluster::LoadOptions load;

@@ -70,7 +70,6 @@ TCP mode (real loopback sockets, wall-clock; chainreaction only):
   --loop-threads N server event loops in one consolidated runtime  [off]
   --pipeline N     outstanding ops per client session              [4]
   --get-fraction P fraction of gets (remainder puts)               [0.5]
-  --ack-batch-us N cumulative-ack coalescing window, us            [100]
   (honors --servers --clients --records --value-size --replication --k
    --measure-ms --seed --trace-every --dump-traces --metrics)
 )";
@@ -162,7 +161,6 @@ int RunTcpMode(const Flags& flags) {
   opts.config.k_stability = static_cast<uint32_t>(flags.GetInt("k", 2));
   opts.config.num_dcs = 1;
   opts.config.client_timeout = 2 * kSecond;
-  opts.config.ack_batch_window = flags.GetInt("ack-batch-us", 100);
   // Observability: sampled end-to-end tracing with a shared collector (one
   // process — the assembler merges it directly). --dump-traces without an
   // explicit rate samples every 64th put.
@@ -239,7 +237,7 @@ int main(int argc, char** argv) {
                     "crash-at-ms", "restart-at-ms", "seed", "check", "stats-every-ms",
                     "trace-every", "trace-prob", "slow-trace-us", "dump-traces",
                     "http-port", "metrics",
-                    "loop-threads", "pipeline", "get-fraction", "ack-batch-us",
+                    "loop-threads", "pipeline", "get-fraction",
                     "help"})) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
