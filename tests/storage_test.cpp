@@ -123,6 +123,52 @@ TEST(VersionedStore, GcDropsVersionsOlderThanNewestStable) {
   EXPECT_TRUE(store.HasAtLeast("k", V(1, 0, {1})));
 }
 
+TEST(VersionedStore, GcKeepsUnstableConcurrentVersionUntilStable) {
+  // A local write (dc0) and a concurrent remote one (dc1) that wins LWW.
+  VersionedStore store;
+  store.TrackStabilityFor(0);
+  const Version local = V(5, 0, {1, 0});
+  const Version remote = V(6, 1, {0, 1});
+  store.Apply("k", "local", local);
+  store.Apply("k", "remote", remote);
+  ASSERT_TRUE(store.HasTrackedUnstable());
+  EXPECT_EQ(store.MinTrackedUnstableLamport(), 5u);
+
+  // Marking the LWW-newer version stable does not make the concurrent
+  // older one stable, so GC keeps it, it stays listed for re-propagation,
+  // and it keeps capping the watermark.
+  store.MarkStable("k", remote);
+  EXPECT_EQ(store.VersionCount("k"), 2u);
+  EXPECT_EQ(store.LatestStable("k")->value, "remote");
+  auto unstable = store.UnstableVersions("k");
+  ASSERT_EQ(unstable.size(), 1u);
+  EXPECT_EQ(unstable[0].value, "local");
+  ASSERT_TRUE(store.HasTrackedUnstable());
+  EXPECT_EQ(store.MinTrackedUnstableLamport(), 5u);
+
+  // Once it stabilizes it is collectible like any older stable version,
+  // and its watermark cap is lifted.
+  store.MarkStable("k", local);
+  EXPECT_EQ(store.VersionCount("k"), 1u);
+  EXPECT_TRUE(store.UnstableVersions("k").empty());
+  EXPECT_FALSE(store.HasTrackedUnstable());
+  EXPECT_EQ(store.Latest("k")->value, "remote");
+}
+
+TEST(VersionedStore, GcDropsCausallyIncludedVersionAppliedLate) {
+  // A re-propagated version arriving after a newer version that causally
+  // includes it was marked stable is stable by prefix closure: GC drops it
+  // at once and it never caps the watermark.
+  VersionedStore store;
+  store.TrackStabilityFor(0);
+  store.Apply("k", "v2", V(2, 0, {2, 0}));
+  store.MarkStable("k", V(2, 0, {2, 0}));
+  store.Apply("k", "v1", V(1, 0, {1, 0}));
+  EXPECT_EQ(store.VersionCount("k"), 1u);
+  EXPECT_TRUE(store.UnstableVersions("k").empty());
+  EXPECT_FALSE(store.HasTrackedUnstable());
+}
+
 TEST(VersionedStore, UnstableVersionsOldestFirst) {
   VersionedStore store;
   store.Apply("k", "a", V(1, 0, {1}));
