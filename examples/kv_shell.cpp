@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
   MetricsRegistry metrics;
   TraceCollector traces;
 
-  // One consolidated server runtime; node actors are sharded across its
-  // event loops by ring position.
+  // One consolidated server runtime; node actors are placed on its event
+  // loops so that few chain links cross loops.
   const std::vector<uint32_t> shard_of =
       TcpCluster::AssignShardsByRingOrder(ring, servers, loop_threads);
   auto server_rt = std::make_unique<TcpRuntime>(&book, loop_threads);

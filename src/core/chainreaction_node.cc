@@ -2001,12 +2001,12 @@ uint64_t ChainReactionNode::ClusterWatermark() const {
     if (n == id_) {
       continue;
     }
-    auto it = wm_peer_cuts_.find(n);
-    if (it == wm_peer_cuts_.end()) {
+    const uint64_t cut = n < wm_peer_cuts_.size() ? wm_peer_cuts_[n] : kUnknownCut;
+    if (cut == kUnknownCut) {
       w = 0;  // unknown peer: no claim about cluster-wide stability
       break;
     }
-    w = std::min(w, it->second);
+    w = std::min(w, cut);
   }
   // A same-epoch client hint is a W some node already proved; W only grows
   // within an epoch, so it is a valid floor.
@@ -2014,11 +2014,16 @@ uint64_t ChainReactionNode::ClusterWatermark() const {
 }
 
 void ChainReactionNode::LearnPeerCut(NodeId node, uint64_t epoch, uint64_t cut) {
-  if (!config_.dep_watermark || epoch != ring_.epoch() || node == id_) {
+  // Only ring members are read back, and only they may size the array.
+  if (!config_.dep_watermark || epoch != ring_.epoch() || node == id_ || !ring_.Contains(node)) {
     return;
   }
+  if (node >= wm_peer_cuts_.size()) {
+    wm_peer_cuts_.resize(node + 1, kUnknownCut);
+  }
   uint64_t& slot = wm_peer_cuts_[node];
-  slot = std::max(slot, cut);
+  cut = std::min(cut, kUnknownCut - 1);
+  slot = slot == kUnknownCut ? cut : std::max(slot, cut);
 }
 
 void ChainReactionNode::HandleWatermark(const CrxWatermark& msg) {

@@ -413,11 +413,14 @@ class ChainReactionNode : public Actor {
   void DrainGuardedGets();
 
   // Watermark state (dep_watermark): newest stable cut learned per ring
-  // peer in the current epoch (cleared on epoch change — cuts are
-  // epoch-scoped so a node re-added with an empty store cannot resurrect a
-  // stale high cut), plus the best same-epoch cluster watermark any client
-  // hinted at us (a floor for our own computation).
-  std::unordered_map<NodeId, uint64_t> wm_peer_cuts_;
+  // peer in the current epoch, indexed by node id, kUnknownCut where none
+  // was learned (cleared on epoch change — cuts are epoch-scoped so a node
+  // re-added with an empty store cannot resurrect a stale high cut), plus
+  // the best same-epoch cluster watermark any client hinted at us (a floor
+  // for our own computation). A flat array: ClusterWatermark walks every
+  // peer on each k-ack, read reply and uncovered dependency.
+  static constexpr uint64_t kUnknownCut = ~uint64_t{0};
+  std::vector<uint64_t> wm_peer_cuts_;
   uint64_t wm_client_hint_ = 0;
   uint32_t wm_rounds_left_ = 0;
   uint64_t wm_gossip_timer_ = 0;

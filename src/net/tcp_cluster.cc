@@ -33,8 +33,8 @@ std::vector<uint32_t> TcpCluster::AssignShardsByRingOrder(const Ring& ring, uint
   if (loops <= 1) {
     return shard_of;
   }
-  // Walk the ring's segments in order; a node's first appearance (as a
-  // segment head, then as any replica) fixes its ring position.
+  // Start from contiguous blocks of ring order: a node's first appearance
+  // (as a segment head, then as any replica) fixes its ring position.
   std::vector<NodeId> order;
   std::unordered_set<NodeId> seen;
   for (const auto& chain : ring.SegmentChains()) {
@@ -49,11 +49,62 @@ std::vector<uint32_t> TcpCluster::AssignShardsByRingOrder(const Ring& ring, uint
       order.push_back(n);
     }
   }
-  // Contiguous blocks: ring neighbors (and hence most chain links) share a
-  // loop; only chains spanning a block boundary cross threads.
   for (size_t i = 0; i < order.size(); ++i) {
     shard_of[order[i]] =
         static_cast<uint32_t>(i * loops / order.size());
+  }
+  // With many vnodes every node appears within the first few segments, so
+  // the blocks alone barely beat a random split. links[a * n + b] counts
+  // the segment chains in which a and b are adjacent (a hop of a chain put
+  // or a stable notify); the search below swaps pairs of nodes on
+  // different loops while a swap lowers the number of such links that
+  // cross loops. Swaps keep every loop's size; the best swap wins, ties go
+  // to the lowest (a, b), so the result is deterministic.
+  const size_t n = num_nodes;
+  std::vector<uint32_t> links(n * n, 0);
+  for (const auto& chain : ring.SegmentChains()) {
+    for (size_t i = 0; i + 1 < chain.size(); ++i) {
+      const NodeId a = chain[i];
+      const NodeId b = chain[i + 1];
+      if (a < n && b < n && a != b) {
+        ++links[a * n + b];
+        ++links[b * n + a];
+      }
+    }
+  }
+  while (true) {
+    int64_t best_delta = 0;
+    size_t best_a = 0;
+    size_t best_b = 0;
+    for (size_t a = 0; a < n; ++a) {
+      for (size_t b = a + 1; b < n; ++b) {
+        const uint32_t sa = shard_of[a];
+        const uint32_t sb = shard_of[b];
+        if (sa == sb) {
+          continue;
+        }
+        // The a-b links cross loops before and after the swap alike.
+        int64_t delta = 0;
+        for (size_t c = 0; c < n; ++c) {
+          if (c == a || c == b) {
+            continue;
+          }
+          const uint32_t sc = shard_of[c];
+          const int64_t ac = links[a * n + c];
+          const int64_t bc = links[b * n + c];
+          delta += ac * ((sb != sc) - (sa != sc)) + bc * ((sa != sc) - (sb != sc));
+        }
+        if (delta < best_delta) {
+          best_delta = delta;
+          best_a = a;
+          best_b = b;
+        }
+      }
+    }
+    if (best_delta == 0) {
+      break;
+    }
+    std::swap(shard_of[best_a], shard_of[best_b]);
   }
   return shard_of;
 }

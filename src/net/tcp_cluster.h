@@ -3,9 +3,10 @@
 // Stands up a full ChainReaction cluster over loopback sockets inside one
 // process: a single server TcpRuntime whose `loop_threads` event loops host
 // all node actors, plus a client TcpRuntime hosting N client sessions.
-// Nodes are sharded across the server loops by *ring position* — contiguous
-// ring segments map to the same loop, so the chain neighbors of most keys
-// colocate and down-chain hops stay in-process on one thread.
+// Nodes are placed on the server loops by their chain links
+// (AssignShardsByRingOrder), so that as many chain hops as the ring allows
+// stay in-process on one thread; the rest are handed to the other loop
+// through its posted-frame queue.
 //
 // The harness also bundles a closed-loop load driver (each client issues
 // its next operation from the previous one's completion callback) used by
@@ -142,8 +143,12 @@ class TcpCluster {
   bool WaitMigrationIdle(Duration max_wait = 30 * kSecond);
   MigrationCoordinator* coordinator() { return coordinator_.get(); }
 
-  // Ring-segment affinity: nodes in ring order, split into `loops`
-  // contiguous blocks. Exposed for tests.
+  // Node -> loop placement that keeps chain links on one loop: starts
+  // from `loops` contiguous blocks of ring order, then swaps pairs of nodes
+  // on different loops while a swap lowers the number of adjacent links in
+  // ring.SegmentChains() whose two nodes sit on different loops. Every loop
+  // gets floor(n/loops) or ceil(n/loops) nodes; deterministic for a given
+  // ring. Exposed for tests, perfbench and kv_shell.
   static std::vector<uint32_t> AssignShardsByRingOrder(const Ring& ring, uint32_t num_nodes,
                                                        uint32_t loops);
 

@@ -751,5 +751,69 @@ TEST(CrxTurnFlush, AcksForOneClientShareOneFramePerTurn) {
   EXPECT_EQ(ack.req, 4u);
 }
 
+std::string WatermarkFrame(NodeId node, uint64_t epoch, uint64_t cut) {
+  CrxWatermark m;
+  m.node = node;
+  m.epoch = epoch;
+  m.cut = cut;
+  return EncodeMessage(m);
+}
+
+CrxConfig WatermarkConfig() {
+  CrxConfig cfg;
+  cfg.dep_watermark = true;
+  return cfg;
+}
+
+// W is the minimum over every ring peer's learned cut; while any peer's cut
+// is unknown, W stays 0. A cut from a node outside the ring counts for
+// nothing, and a lower later cut from the same peer does not lower it.
+TEST(CrxWatermarkCuts, UnknownPeerHoldsWatermarkAtZero) {
+  const Ring ring({0, 1, 2}, 16, 3, 1);
+  ChainReactionNode node(0, WatermarkConfig(), ring);
+  TurnEnv env;
+  node.AttachEnv(&env);
+  ASSERT_EQ(node.StableCut(), 999u);  // TurnEnv's clock cap: Now() - 1
+
+  EXPECT_EQ(node.ClusterWatermark(), 0u);
+  node.OnMessage(1, WatermarkFrame(1, 1, 500));
+  node.OnMessage(7, WatermarkFrame(7, 1, 800));
+  EXPECT_EQ(node.ClusterWatermark(), 0u) << "node 2's cut is still unknown";
+  node.OnMessage(2, WatermarkFrame(2, 1, 700));
+  EXPECT_EQ(node.ClusterWatermark(), 500u);
+  node.OnMessage(1, WatermarkFrame(1, 1, 300));
+  EXPECT_EQ(node.ClusterWatermark(), 500u) << "cuts only grow";
+  node.OnMessage(1, WatermarkFrame(1, 1, 2000));
+  EXPECT_EQ(node.ClusterWatermark(), 700u);
+  node.OnMessage(2, WatermarkFrame(2, 1, 5000));
+  EXPECT_EQ(node.ClusterWatermark(), 999u) << "the node's own cut caps W";
+}
+
+// Cuts are epoch-scoped: an epoch change forgets every peer's cut (W drops
+// to 0 until each peer reports again), and a cut sent for the old epoch is
+// ignored.
+TEST(CrxWatermarkCuts, EpochChangeResetsEveryCut) {
+  const Ring ring({0, 1, 2}, 16, 3, 1);
+  ChainReactionNode node(0, WatermarkConfig(), ring);
+  TurnEnv env;
+  node.AttachEnv(&env);
+  node.OnMessage(1, WatermarkFrame(1, 1, 500));
+  node.OnMessage(2, WatermarkFrame(2, 1, 700));
+  ASSERT_EQ(node.ClusterWatermark(), 500u);
+
+  MemNewMembership change;
+  change.epoch = 2;
+  change.nodes = {0, 1, 2};
+  node.OnMessage(kServiceAddressBase, EncodeMessage(change));
+  EXPECT_EQ(node.ClusterWatermark(), 0u);
+  node.OnMessage(1, WatermarkFrame(1, 1, 600));
+  node.OnMessage(2, WatermarkFrame(2, 1, 600));
+  EXPECT_EQ(node.ClusterWatermark(), 0u) << "epoch-1 cuts after the change";
+  node.OnMessage(1, WatermarkFrame(1, 2, 400));
+  EXPECT_EQ(node.ClusterWatermark(), 0u);
+  node.OnMessage(2, WatermarkFrame(2, 2, 450));
+  EXPECT_EQ(node.ClusterWatermark(), 400u);
+}
+
 }  // namespace
 }  // namespace chainreaction
